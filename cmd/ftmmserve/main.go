@@ -60,7 +60,7 @@ var (
 	titles     = flag.Int("titles", 8, "titles in the tape library (full catalog, popularity order)")
 	groups     = flag.Int("groups", 20, "parity groups per title")
 	workers    = flag.Int("workers", 0, "engine per-cluster worker goroutines (0 = GOMAXPROCS)")
-	noMerge    = flag.Bool("no-merged-reads", false, "disable same-title read merging (benchmarking knob; reports are identical either way)")
+	noMerge    = flag.Bool("no-merged-reads", false, "disable same-title read merging in every scheme's engine (benchmarking knob; reports are identical either way)")
 	noPipe     = flag.Bool("no-pipeline", false, "disable the two-stage cycle pipeline (benchmarking/bisection knob; delivered bytes are identical either way)")
 	speed      = flag.Float64("speed", 1, "wall-clock speedup for the pacer (0: virtual clock, cycles back to back)")
 	queue      = flag.Int("queue", 64, "per-session send queue depth in bursts (overflow sheds the client)")

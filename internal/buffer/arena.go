@@ -21,9 +21,13 @@ import (
 type Arena struct {
 	trackSize int
 	pool      sync.Pool
-	gets      atomic.Int64
-	puts      atomic.Int64
-	news      atomic.Int64
+	// headers recycles the *[]byte boxes pool stores buffers in: Get
+	// parks the box it emptied here and Put refills one, so neither
+	// heap-allocates a slice header in steady state.
+	headers sync.Pool
+	gets    atomic.Int64
+	puts    atomic.Int64
+	news    atomic.Int64
 }
 
 // NewArena creates an arena handing out buffers of exactly trackSize
@@ -54,7 +58,11 @@ func (a *Arena) Get() []byte {
 		return nil
 	}
 	a.gets.Add(1)
-	return *a.pool.Get().(*[]byte)
+	box := a.pool.Get().(*[]byte)
+	buf := *box
+	*box = nil
+	a.headers.Put(box)
+	return buf
 }
 
 // GetZeroed returns a track-sized buffer with every byte zero, for use
@@ -74,7 +82,12 @@ func (a *Arena) Put(buf []byte) {
 		return
 	}
 	a.puts.Add(1)
-	a.pool.Put(&buf)
+	box, _ := a.headers.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = buf
+	a.pool.Put(box)
 }
 
 // Stats reports lifetime counters: buffers handed out, buffers returned,

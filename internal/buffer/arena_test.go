@@ -84,18 +84,23 @@ func TestArenaConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestArenaSteadyStateAllocs checks that a Get/Put cycle in steady state
-// costs at most the one small header allocation sync.Pool.Put makes for
-// the *[]byte box — not a track-sized buffer.
+// TestArenaSteadyStateAllocs pins the recycle path allocation-free: a
+// Get/Put pair in steady state reuses both the track buffer and the
+// *[]byte box the pool stores it in. (AllocsPerRun truncates to whole
+// allocations per run, so a rare GC clearing the pool cannot flake it.)
 func TestArenaSteadyStateAllocs(t *testing.T) {
+	// Under the race detector sync.Pool drops a random share of Puts, so
+	// some runs allocate afresh; allow that much there, and none here.
+	limit := 0.0
+	if raceEnabled {
+		limit = 1
+	}
 	a := NewArena(50_000)
 	a.Put(a.Get()) // warm the pool
 	n := testing.AllocsPerRun(100, func() {
 		a.Put(a.Get())
 	})
-	// Allow a little slack: a GC during the run may clear the pool and
-	// force one fresh track allocation.
-	if n > 1.5 {
-		t.Errorf("steady-state Get/Put allocates %.1f per run, want ~1", n)
+	if n > limit {
+		t.Errorf("steady-state Get/Put allocates %.1f per run, want at most %.0f", n, limit)
 	}
 }

@@ -95,6 +95,10 @@ type RunConfig struct {
 	Schedule Schedule
 	Checkers []Checker
 	Hooks    Hooks
+	// DisableMergedReads builds the server without same-title read
+	// merging. Reports must not change either way, so a run with and one
+	// without it form a differential check of the merged read paths.
+	DisableMergedReads bool
 }
 
 // Run executes one schedule under the given checkers. It returns an
@@ -115,8 +119,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		Disks: sch.Disks, ClusterSize: sch.ClusterSize,
 		DeclusterGroup: sch.DeclusterGroup,
 		Scheme:         scheme, NCPolicy: policy, K: sch.K,
-		DiskParams: sch.ToSpec().DiskParams(),
-		Workers:    1, // determinism holds at any count; campaigns parallelize across runs
+		DiskParams:         sch.ToSpec().DiskParams(),
+		Workers:            1, // determinism holds at any count; campaigns parallelize across runs
+		DisableMergedReads: cfg.DisableMergedReads,
 	})
 	if err != nil {
 		return nil, err

@@ -39,12 +39,12 @@ func runHotTitle(t *testing.T, scheme string, cfg rigConfig, nHot int) (*loopRig
 // TestMergedBurstBitExactEveryScheme is the merged-burst acceptance
 // test: under every scheme, a pack of same-title viewers admitted in the
 // same cycle (the Zipf head, lockstep) plus a witness on another title
-// all receive bit-exact content. Under Streaming RAID the pack's bursts
-// are physically shared (one staged run fanned out to every session —
-// asserted via net_merged_tracks); under the other schemes, and under SR
-// with merging disabled, the same wire contract holds over the
-// per-session path, so shared and private delivery are interchangeable
-// byte for byte.
+// all receive bit-exact content. With engine read merging on, every
+// scheme's engine hands the pack the same track refs, so the pack's
+// bursts are physically shared (one staged run fanned out to every
+// session — asserted via net_merged_tracks); with merging disabled the
+// same wire contract holds over the per-session path, so shared and
+// private delivery are interchangeable byte for byte.
 func TestMergedBurstBitExactEveryScheme(t *testing.T) {
 	const nHot = 4
 	for _, tc := range []struct {
@@ -55,9 +55,12 @@ func TestMergedBurstBitExactEveryScheme(t *testing.T) {
 	}{
 		{"sr-merged", "sr", false, true},
 		{"sr-unmerged", "sr", true, false},
-		{"sg", "sg", false, false},
-		{"nc-simple", "nc-simple", false, false},
-		{"ib", "ib", false, false},
+		{"sg", "sg", false, true},
+		{"sg-unmerged", "sg", true, false},
+		{"nc-simple", "nc-simple", false, true},
+		{"nc-simple-unmerged", "nc-simple", true, false},
+		{"ib", "ib", false, true},
+		{"ib-unmerged", "ib", true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := defaultRig()

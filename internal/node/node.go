@@ -44,8 +44,8 @@ type Config struct {
 	// bound).
 	Workers, SlotsPerDisk int
 	// DisableMergedReads turns off same-title read merging in the
-	// Streaming RAID engine (benchmarking/bisection knob; reports are
-	// identical either way).
+	// engine, whatever its scheme (benchmarking/bisection knob; reports
+	// are identical either way).
 	DisableMergedReads bool
 	// NoPipeline turns off the front end's two-stage cycle pipeline, so
 	// each cycle stages and flushes before the next engine step

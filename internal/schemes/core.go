@@ -194,13 +194,18 @@ func (c *engineCore) ensureStageCaches() {
 // this cycle. Callers must have run ensureStageCaches first and must be
 // the (single) goroutine working cluster cl.
 func (c *engineCore) stageCacheFor(cl int) map[*layout.Group]*bufferedGroup {
-	m := c.stageCaches[cl]
-	if m == nil {
-		m = make(map[*layout.Group]*bufferedGroup, 4)
-		c.stageCaches[cl] = m
+	return cycleCache(&c.stageCaches[cl])
+}
+
+// cycleCache returns the per-cycle merge cache *m emptied, making it on
+// first use; the map persists across cycles so steady state allocates
+// nothing.
+func cycleCache[K comparable, V any](m *map[K]V) map[K]V {
+	if *m == nil {
+		*m = make(map[K]V, 4)
 	}
-	clear(m)
-	return m
+	clear(*m)
+	return *m
 }
 
 // releaseGroups drops one sharer's hold on the given buffered groups
@@ -216,21 +221,32 @@ func (c *engineCore) releaseGroups(bgs ...*bufferedGroup) error {
 				return err
 			}
 		}
-		if bg.shares > 1 {
-			bg.shares--
-			continue
-		}
-		bg.shares = 0
-		bg.pooled = 0
-		c.recycleGroup(bg)
+		c.unshareGroup(bg)
 	}
 	return nil
 }
 
+// unshareGroup drops one sharer from a buffered group (nil is fine)
+// without touching the pool — callers settle their own pool hold first;
+// the last sharer recycles the group's buffers.
+func (c *engineCore) unshareGroup(bg *bufferedGroup) {
+	if bg == nil {
+		return
+	}
+	if bg.shares > 1 {
+		bg.shares--
+		return
+	}
+	bg.shares = 0
+	bg.pooled = 0
+	c.recycleGroup(bg)
+}
+
 // recycleGroup hands a buffered group's remaining track buffers back to
-// the arena and clears the slots. Callers must ensure no live CycleReport
-// older than the current Step references the buffers (delivered buffers
-// recycled here stay intact until the next Step's reads reuse them).
+// the arena, drops the group's own holds on refs minted for sharers, and
+// clears the slots. Callers must ensure no live CycleReport older than
+// the current Step references the buffers (delivered buffers recycled
+// here stay intact until the next Step's reads reuse them).
 func (c *engineCore) recycleGroup(bg *bufferedGroup) {
 	if bg == nil {
 		return
@@ -240,6 +256,53 @@ func (c *engineCore) recycleGroup(bg *bufferedGroup) {
 			c.arena.Put(d)
 			bg.data[i] = nil
 		}
+	}
+	for i, ref := range bg.refs {
+		if ref != nil {
+			ref.Release()
+			bg.refs[i] = nil
+		}
+	}
+}
+
+// takeTrack hands out track off of a staged group for delivery: the
+// returned ref is already on the engine's release list, and data is nil
+// when the track was lost. The first sharer to take a track mints its
+// ref; while the group is shared the ref is also parked in bg.refs (with
+// the group's own hold, dropped by recycleGroup) so later sharers Retain
+// the same ref — a second Share of one buffer would double-free it.
+func (c *engineCore) takeTrack(bg *bufferedGroup, off int) (data []byte, ref *buffer.Ref) {
+	if bg.refs != nil && bg.refs[off] != nil {
+		ref = bg.refs[off]
+		ref.Retain()
+		c.delivered = append(c.delivered, ref)
+		return ref.Bytes(), ref
+	}
+	data = bg.data[off]
+	if data == nil {
+		return nil, nil
+	}
+	ref = c.shareDelivered(data)
+	// Ownership moved to the Ref; clear the slot so recycleGroup does not
+	// Put the buffer behind the report's back.
+	bg.data[off] = nil
+	if bg.shares > 1 {
+		if bg.refs == nil {
+			bg.refs = make([]*buffer.Ref, len(bg.data))
+		}
+		ref.Retain()
+		bg.refs[off] = ref
+	}
+	return data, ref
+}
+
+// newBufferedGroup returns an empty single-share staging struct for g.
+func newBufferedGroup(g *layout.Group) *bufferedGroup {
+	return &bufferedGroup{
+		group:         g,
+		data:          make([][]byte, len(g.Data)),
+		reconstructed: make([]bool, len(g.Data)),
+		shares:        1,
 	}
 }
 
@@ -519,12 +582,7 @@ func (c *engineCore) stageGroup(ctx *sched.CycleContext, g *layout.Group, cache 
 		ok = false
 	}
 	if !ok {
-		return &bufferedGroup{
-			group:         g,
-			data:          make([][]byte, len(g.Data)),
-			reconstructed: make([]bool, len(g.Data)),
-			shares:        1,
-		}, nil
+		return newBufferedGroup(g), nil
 	}
 	if bg := cache[g]; bg != nil {
 		bg.shares++
@@ -613,29 +671,8 @@ func (c *engineCore) deliverGroup(ctx *sched.CycleContext, s *groupStream, bg *b
 	width := len(bg.group.Data)
 	base := bg.group.Index * width
 	for off := 0; off < bg.group.ValidTracks; off++ {
-		var ref *buffer.Ref
-		var data []byte
-		switch {
-		case bg.refs != nil && bg.refs[off] != nil:
-			// An earlier sharer already minted the ref for this track;
-			// retain the SAME ref (a second Share would double-free).
-			ref = bg.refs[off]
-			ref.Retain()
-			c.delivered = append(c.delivered, ref)
-			data = ref.Bytes()
-		case bg.data[off] != nil:
-			data = bg.data[off]
-			ref = c.shareDelivered(data)
-			if bg.shares > 1 {
-				if bg.refs == nil {
-					bg.refs = make([]*buffer.Ref, len(bg.data))
-				}
-				bg.refs[off] = ref
-			}
-			// Ownership moved to the Ref; clear the slot so recycleGroup
-			// below does not Put the buffer behind the report's back.
-			bg.data[off] = nil
-		default:
+		data, ref := c.takeTrack(bg, off)
+		if data == nil {
 			ctx.Rep.Hiccups = append(ctx.Rep.Hiccups, sched.Hiccup{
 				StreamID: s.ID, ObjectID: s.Obj.ID, Track: base + off,
 				Reason: hiccupReason,
@@ -647,24 +684,10 @@ func (c *engineCore) deliverGroup(ctx *sched.CycleContext, s *groupStream, bg *b
 			Data: data, Buf: ref, Reconstructed: bg.reconstructed[off],
 		})
 	}
-	if bg.pooled > 0 {
-		if err := c.pool.Release(bg.pooled); err != nil {
-			return err
-		}
-	}
-	if bg.shares > 1 {
-		bg.shares--
-	} else {
-		bg.shares = 0
-		bg.pooled = 0
-		// Delivered slots were handed to refs above; recycle only the
-		// leftovers (failed reads, padding past ValidTracks).
-		c.recycleGroup(bg)
-		if bg.refs != nil {
-			for i := range bg.refs {
-				bg.refs[i] = nil
-			}
-		}
+	// Delivered slots were handed to refs above; the last sharer recycles
+	// only the leftovers (failed reads, padding past ValidTracks).
+	if err := c.releaseGroups(bg); err != nil {
+		return err
 	}
 	s.Advance(bg.group.ValidTracks)
 	return nil

@@ -145,7 +145,26 @@ func (e *ImprovedBandwidth) FailDiskMidCycle(id int) error {
 
 // readGroupBlocks runs one group's phase-1 data reads, recording into
 // ctx (a per-cluster shard when the phase runs parallel).
-func (e *ImprovedBandwidth) readGroupBlocks(gr *ibGroupRead, ctx *sched.CycleContext) error {
+//
+// cache, when non-nil, merges same-title reads as stageGroup does for
+// Streaming RAID: a group another stream of this cluster already read in
+// full this cycle is shared when this stream has a free slot on every
+// drive of it. The sharer takes those slots and counts those reads
+// exactly as its own unmerged reads would have, so reports do not
+// change; without a free slot everywhere it reads unmerged (and misses
+// where the slots ran out, as before).
+func (e *ImprovedBandwidth) readGroupBlocks(gr *ibGroupRead, ctx *sched.CycleContext, cache map[*layout.Group]*bufferedGroup) error {
+	if bg := cache[gr.g]; bg != nil && slotsFree(ctx, gr.g) {
+		for j, loc := range gr.g.Data {
+			ctx.Slots.Take(loc.Disk)
+			gr.reads = append(gr.reads, ibRead{offset: j, disk: loc.Disk})
+		}
+		ctx.Rep.DataReads += len(gr.g.Data)
+		bg.shares++
+		gr.bg = bg
+		return nil
+	}
+	gr.bg = newBufferedGroup(gr.g)
 	for j, loc := range gr.g.Data {
 		if !ctx.Slots.Take(loc.Disk) {
 			gr.missing = append(gr.missing, j)
@@ -164,7 +183,20 @@ func (e *ImprovedBandwidth) readGroupBlocks(gr *ibGroupRead, ctx *sched.CycleCon
 		gr.bg.data[j] = blk
 		gr.reads = append(gr.reads, ibRead{offset: j, disk: loc.Disk})
 	}
+	if cache != nil && len(gr.missing) == 0 && cache[gr.g] == nil {
+		cache[gr.g] = gr.bg
+	}
 	return nil
+}
+
+// slotsFree reports whether every data drive of g has a free slot left.
+func slotsFree(ctx *sched.CycleContext, g *layout.Group) bool {
+	for _, loc := range g.Data {
+		if ctx.Slots.Free(loc.Disk) < 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // Step implements Simulator.
@@ -182,35 +214,37 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 		}
 		g := &s.Obj.Groups[s.nextGroup]
 		s.nextGroup++
-		groups = append(groups, &ibGroupRead{
-			s: s, g: g,
-			bg: &bufferedGroup{
-				group:         g,
-				data:          make([][]byte, len(g.Data)),
-				reconstructed: make([]bool, len(g.Data)),
-				shares:        1,
-			},
-			unmaskable: map[int]bool{},
-		})
+		groups = append(groups, &ibGroupRead{s: s, g: g})
 	}
 
 	// Phase 1: normal data reads (no parity in normal mode). Each group's
 	// reads stay on its own cluster, so the phase fans out per cluster —
 	// except under a scheduled mid-cycle failure, whose semantics (the
 	// victim drive serves exactly half of its scheduled reads, in
-	// schedule order) depend on a serial read order.
+	// schedule order) depend on a serial read order; that path also never
+	// merges. Lockstep streams of one title share a read through the
+	// per-cluster stage cache; resolve copies a shared group before the
+	// shift mutates it.
 	if e.midFail >= 0 {
 		if err := e.stepMidFailReads(groups, ctx); err != nil {
 			return nil, err
 		}
 	} else {
+		merge := !e.cfg.DisableMergedReads
+		if merge {
+			e.ensureStageCaches()
+		}
 		byCluster := make([][]*ibGroupRead, e.cfg.Layout.Clusters())
 		for _, gr := range groups {
 			byCluster[gr.g.Cluster] = append(byCluster[gr.g.Cluster], gr)
 		}
 		if err := e.runClusters(ctx, func(shard *sched.CycleContext, cl int) error {
+			var cache map[*layout.Group]*bufferedGroup
+			if merge && len(byCluster[cl]) > 1 {
+				cache = e.stageCacheFor(cl)
+			}
 			for _, gr := range byCluster[cl] {
-				if err := e.readGroupBlocks(gr, shard); err != nil {
+				if err := e.readGroupBlocks(gr, shard, cache); err != nil {
 					return err
 				}
 			}
@@ -227,11 +261,12 @@ func (e *ImprovedBandwidth) Step() (*sched.CycleReport, error) {
 		e.resolve(gr, groups, ctx, map[int]bool{})
 	}
 
-	// Buffer accounting for staged groups (terminated streams drop
-	// theirs without ever acquiring; their buffers go back to the arena).
+	// Buffer accounting for staged groups (terminated streams drop their
+	// share without ever acquiring; the last holder's buffers go back to
+	// the arena).
 	for _, gr := range groups {
 		if gr.s.Terminated {
-			e.recycleGroup(gr.bg)
+			e.unshareGroup(gr.bg)
 			continue
 		}
 		gr.bg.pooled = len(gr.g.Data)
@@ -264,6 +299,7 @@ func (e *ImprovedBandwidth) stepMidFailReads(groups []*ibGroupRead, ctx *sched.C
 	}
 	midAllowance := scheduled / 2
 	for _, gr := range groups {
+		gr.bg = newBufferedGroup(gr.g)
 		for j, loc := range gr.g.Data {
 			if !ctx.Slots.Take(loc.Disk) {
 				gr.missing = append(gr.missing, j)
@@ -292,6 +328,9 @@ func (e *ImprovedBandwidth) stepMidFailReads(groups []*ibGroupRead, ctx *sched.C
 				gr.missing = append(gr.missing, j)
 				if loc.Disk == midDisk {
 					// Lost to the mid-cycle failure: no time to shift.
+					if gr.unmaskable == nil {
+						gr.unmaskable = map[int]bool{}
+					}
 					gr.unmaskable[j] = true
 				}
 				continue
@@ -388,7 +427,9 @@ func (e *ImprovedBandwidth) readParity(gr *ibGroupRead, groups []*ibGroupRead, c
 		}
 		// The victim loses the block it read from pDisk; the freed slot
 		// carries our parity read. The victim's group then shifts right
-		// itself.
+		// itself — on a private copy if it shares its group with other
+		// streams, whose reads stand.
+		e.ownGroup(victim)
 		for vi, vr := range victim.reads {
 			if vr.disk == pDisk {
 				e.arena.Put(victim.bg.data[vr.offset])
@@ -419,6 +460,24 @@ func (e *ImprovedBandwidth) readParity(gr *ibGroupRead, groups []*ibGroupRead, c
 	return blk
 }
 
+// ownGroup gives gr a private copy of its buffered group when the group
+// is shared, so the shift can drop and reconstruct tracks in it without
+// touching the other sharers' data.
+func (e *ImprovedBandwidth) ownGroup(gr *ibGroupRead) {
+	src := gr.bg
+	if src.shares <= 1 {
+		return
+	}
+	src.shares--
+	gr.bg = newBufferedGroup(gr.g)
+	for k, d := range src.data {
+		if d != nil {
+			gr.bg.data[k] = e.arena.Get()
+			copy(gr.bg.data[k], d)
+		}
+	}
+}
+
 // pickVictim finds a group (other than the requester) holding a normal
 // data-read slot on the drive.
 func (e *ImprovedBandwidth) pickVictim(groups []*ibGroupRead, d int, requester *ibGroupRead) *ibGroupRead {
@@ -444,14 +503,9 @@ func (e *ImprovedBandwidth) terminate(s *groupStream, rep *sched.CycleReport) {
 	s.Terminated = true
 	e.terminations++
 	rep.Terminated = append(rep.Terminated, s.ID)
-	for _, bg := range []*bufferedGroup{s.delivering, s.staged} {
-		if bg != nil {
-			if bg.pooled > 0 {
-				_ = e.pool.Release(bg.pooled)
-				bg.pooled = 0
-			}
-			e.recycleGroup(bg)
-		}
-	}
+	// Share-aware: lockstep streams may still deliver these groups. The
+	// pool errs only on releasing more than it holds, which per-sharer
+	// accounting rules out, and terminate has no error path to report on.
+	_ = e.releaseGroups(s.delivering, s.staged)
 	s.delivering, s.staged = nil, nil
 }

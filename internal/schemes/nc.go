@@ -67,6 +67,26 @@ type ncCluster struct {
 type ncStaged struct {
 	data          []byte
 	reconstructed bool
+	// ref, when non-nil, is this stream's reference on a track buffer
+	// shared with lockstep streams of the same title (a merged read);
+	// data is then ref.Bytes() and the buffer goes home on the last
+	// Release, never through a plain arena Put.
+	ref *buffer.Ref
+}
+
+// ncTrackKey names one data track of one title: a parity group and an
+// in-group offset. Lockstep streams reading the same key in the same
+// normal-mode cycle share one physical read.
+type ncTrackKey struct {
+	g *layout.Group
+	o int
+}
+
+// ncReadSrc locates the staged entry of the first stream to read a key
+// this cycle, so later sharers can reference its buffer.
+type ncReadSrc struct {
+	s *ncStream
+	r int
 }
 
 type ncStream struct {
@@ -105,6 +125,10 @@ type NonClustered struct {
 	clusters []ncCluster
 	// degradations counts failures that found no free buffer server.
 	degradations int
+	// readCaches[cl] maps a track to its first reader this cycle on
+	// cluster cl (same-title read merging, normal-mode cycles only); one
+	// map per cluster so each is touched by a single read-phase worker.
+	readCaches []map[ncTrackKey]ncReadSrc
 }
 
 // NewNonClustered builds the engine with K shared buffer servers.
@@ -233,14 +257,27 @@ func (e *NonClustered) CancelStream(id int) error {
 		return err
 	}
 	s.Done = true
+	if err := e.dropStaged(s); err != nil {
+		return err
+	}
+	e.dropXOR(s)
+	return nil
+}
+
+// dropStaged returns every track still staged for the stream: its pool
+// hold and its buffer (or its reference on a shared one).
+func (e *NonClustered) dropStaged(s *ncStream) error {
 	for r, st := range s.staged {
 		delete(s.staged, r)
-		e.arena.Put(st.data)
+		if st.ref != nil {
+			st.ref.Release()
+		} else {
+			e.arena.Put(st.data)
+		}
 		if err := e.pool.Release(1); err != nil {
 			return err
 		}
 	}
-	e.dropXOR(s)
 	return nil
 }
 
@@ -396,14 +433,14 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 		// schedule: deadline-bound degraded reads take slots first.
 		for _, s := range e.streams {
 			if e.readable(s) && e.isDegradedWork(s) {
-				if err := e.readForStream(s, ctx); err != nil {
+				if err := e.readForStream(s, ctx, nil); err != nil {
 					return nil, err
 				}
 			}
 		}
 		for _, s := range e.streams {
 			if e.readable(s) && !e.isDegradedWork(s) {
-				if err := e.readForStream(s, ctx); err != nil {
+				if err := e.readForStream(s, ctx, nil); err != nil {
 					return nil, err
 				}
 			}
@@ -412,6 +449,12 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 		// Normal steady state: every read is a plain single-track read on
 		// the stream's current cluster — acquire-only on the pool and
 		// disjoint across clusters — so the pass fans out per cluster.
+		// Lockstep streams of one title reading the same track share one
+		// physical read (degraded cycles above never merge).
+		merge := !e.cfg.DisableMergedReads
+		if merge && e.readCaches == nil {
+			e.readCaches = make([]map[ncTrackKey]ncReadSrc, len(e.clusters))
+		}
 		readers := make([][]*ncStream, e.cfg.Layout.Clusters())
 		for _, s := range e.streams {
 			if !e.readable(s) {
@@ -422,8 +465,12 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 			readers[cl] = append(readers[cl], s)
 		}
 		if err := e.runClusters(ctx, func(shard *sched.CycleContext, cl int) error {
+			var cache map[ncTrackKey]ncReadSrc
+			if merge && len(readers[cl]) > 1 {
+				cache = cycleCache(&e.readCaches[cl])
+			}
 			for _, s := range readers[cl] {
-				if err := e.readForStream(s, shard); err != nil {
+				if err := e.readForStream(s, shard, cache); err != nil {
 					return err
 				}
 			}
@@ -440,7 +487,14 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 		}
 		r := s.NextDeliver
 		if st, ok := s.staged[r]; ok {
-			ref := e.shareDelivered(st.data)
+			// A shared track's reference moves to the release list; a
+			// private buffer gets its ref minted here.
+			ref := st.ref
+			if ref == nil {
+				ref = e.shareDelivered(st.data)
+			} else {
+				e.delivered = append(e.delivered, ref)
+			}
 			ctx.Rep.Delivered = append(ctx.Rep.Delivered, sched.Delivery{
 				StreamID: s.ID, ObjectID: s.Obj.ID, Track: r,
 				Data: st.data, Buf: ref, Reconstructed: st.reconstructed,
@@ -464,12 +518,8 @@ func (e *NonClustered) Step() (*sched.CycleReport, error) {
 			ctx.Rep.Finished = append(ctx.Rep.Finished, s.ID)
 			// Release anything still staged (early reads past the end
 			// cannot exist, but be defensive) and the accumulator.
-			for r, st := range s.staged {
-				delete(s.staged, r)
-				e.arena.Put(st.data)
-				if err := e.pool.Release(1); err != nil {
-					return nil, err
-				}
+			if err := e.dropStaged(s); err != nil {
+				return nil, err
 			}
 			e.dropXOR(s)
 		}
@@ -514,7 +564,9 @@ func (e *NonClustered) isDegradedWork(s *ncStream) bool {
 
 // readForStream performs the stream's reads for this cycle, recording
 // into the given cycle context (a shard in parallel normal-mode passes).
-func (e *NonClustered) readForStream(s *ncStream, ctx *sched.CycleContext) error {
+// cache, non-nil only on the normal-mode parallel path, merges plain
+// reads of the same track (see plainRead).
+func (e *NonClustered) readForStream(s *ncStream, ctx *sched.CycleContext, cache map[ncTrackKey]ncReadSrc) error {
 	if s.startCycle < 0 {
 		s.startCycle = e.cycle
 	}
@@ -534,20 +586,20 @@ func (e *NonClustered) readForStream(s *ncStream, ctx *sched.CycleContext) error
 
 	switch {
 	case state.mode == ncNormal || state.mode == ncParityLost || s.legacyGroup == g:
-		return e.plainRead(s, grp, r, o, ctx)
+		return e.plainRead(s, grp, r, o, ctx, cache)
 	case state.mode == ncUnprotected:
 		if o == state.failedOffset {
 			s.lost[r] = true // recurring loss: the paper's degradation
 			s.read++
 			return nil
 		}
-		return e.plainRead(s, grp, r, o, ctx)
+		return e.plainRead(s, grp, r, o, ctx, nil)
 	case state.mode == ncDegraded && e.policy == SimpleSwitchover:
 		if o != 0 {
 			// Mid-group on a degraded cluster outside legacy mode should
 			// not happen (transition drops remnants), but read plainly if
 			// it does.
-			return e.plainRead(s, grp, r, o, ctx)
+			return e.plainRead(s, grp, r, o, ctx, nil)
 		}
 		return e.groupRead(s, grp, g, state.failedOffset, ctx)
 	case state.mode == ncDegraded && e.policy == AlternateSwitchover:
@@ -558,11 +610,32 @@ func (e *NonClustered) readForStream(s *ncStream, ctx *sched.CycleContext) error
 
 // plainRead reads a single track; on slot exhaustion or drive failure the
 // track is lost.
-func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int, ctx *sched.CycleContext) error {
+//
+// cache, when non-nil, merges same-title reads: a track another stream
+// of this cluster already read this cycle is referenced instead of
+// re-read. The sharer still takes its own slot first, counts the read
+// and acquires its own pool track, so reports match the unmerged engine.
+func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int, ctx *sched.CycleContext, cache map[ncTrackKey]ncReadSrc) error {
 	s.read++
 	loc := grp.Data[o]
 	if !ctx.Slots.Take(loc.Disk) {
 		s.lost[r] = true
+		return nil
+	}
+	key := ncTrackKey{g: grp, o: o}
+	if src, ok := cache[key]; ok {
+		st := src.s.staged[src.r]
+		if st.ref == nil {
+			// Second reader: the first reader's buffer turns refcounted.
+			st.ref = e.arena.Share(st.data)
+			src.s.staged[src.r] = st
+		}
+		st.ref.Retain()
+		ctx.Rep.DataReads++
+		if err := e.pool.Acquire(1); err != nil {
+			return err
+		}
+		s.staged[r] = ncStaged{data: st.data, ref: st.ref}
 		return nil
 	}
 	drv, err := e.cfg.Farm.Drive(loc.Disk)
@@ -579,6 +652,9 @@ func (e *NonClustered) plainRead(s *ncStream, grp *layout.Group, r, o int, ctx *
 		return err
 	}
 	s.staged[r] = ncStaged{data: blk}
+	if cache != nil {
+		cache[key] = ncReadSrc{s: s, r: r}
+	}
 	return nil
 }
 
@@ -674,7 +750,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 		// Past the reconstruction point without staged data (possible
 		// only after an unusual repair/re-fail interleaving): read
 		// plainly; the drive at this offset is healthy.
-		return e.plainRead(s, grp, s.read, o, ctx)
+		return e.plainRead(s, grp, s.read, o, ctx, nil)
 	}
 	if o < failedOffset {
 		if s.xorGroup != g {
@@ -687,7 +763,7 @@ func (e *NonClustered) xorRead(s *ncStream, grp *layout.Group, g, o, failedOffse
 			s.xorGroup = g
 		}
 		r := s.read
-		if err := e.plainRead(s, grp, r, o, ctx); err != nil {
+		if err := e.plainRead(s, grp, r, o, ctx, nil); err != nil {
 			return err
 		}
 		if st, ok := s.staged[r]; ok {

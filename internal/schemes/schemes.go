@@ -91,12 +91,13 @@ type Config struct {
 	// GOMAXPROCS, 1 runs fully serial. Any value produces bit-identical
 	// cycle reports for the same inputs.
 	Workers int
-	// DisableMergedReads turns off same-title read merging in the
-	// Streaming RAID engine (streams staging the same parity group in
-	// the same cycle share one physical read). Merging never changes
-	// reports — every sharer still pays slots, pool tracks, and read
-	// counters — so this knob exists for benchmarking the unmerged path
-	// and bisecting, not for correctness.
+	// DisableMergedReads turns off same-title read merging in every
+	// engine: lockstep streams reading the same parity group (SR, SG, IB,
+	// DC) or the same track (NC, normal mode) in the same cycle share one
+	// physical read. Merging never changes reports — every sharer still
+	// pays slots, pool tracks, and read counters — so this knob exists
+	// for benchmarking the unmerged path and as the differential oracle
+	// for the merged one, not for correctness.
 	DisableMergedReads bool
 	// Metrics, when non-nil, receives the engine's counters, gauges and
 	// histograms (see sched.NewRecorder for the instrument set).
@@ -232,10 +233,10 @@ type bufferedGroup struct {
 	data [][]byte
 	// reconstructed[i] marks tracks rebuilt from parity.
 	reconstructed []bool
-	// next is the next in-group offset to deliver.
-	next int
 	// pooled is how many buffer-pool tracks ONE sharer of this group
-	// holds; each sharer Acquires and Releases this amount.
+	// holds at staging; each sharer Acquires this amount. Engines that
+	// release a group's tracks one at a time (Staggered-group) count the
+	// hold down per stream, never here.
 	pooled int
 	// shares counts the streams currently sharing this staged group.
 	// Delivery and cancellation each drop one share; the buffers recycle
@@ -244,7 +245,9 @@ type bufferedGroup struct {
 	// refs[i] is the delivery ref for track i, filled by the first
 	// sharer to deliver it; later sharers Retain the same ref instead of
 	// minting a second one (two independent refs on one buffer would
-	// double-free it back to the arena).
+	// double-free it back to the arena). The group holds one reference
+	// on each, dropped when the last sharer lets go, so a sharer may
+	// deliver a track in a later Step than the first.
 	refs []*buffer.Ref
 	// dataReads/parityReads/recovered snapshot the physical read outcome
 	// so sharers staging after the read replay identical report counters.

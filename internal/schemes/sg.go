@@ -27,9 +27,15 @@ type sgStream struct {
 	// nextGroup is the next parity-group index to read.
 	nextGroup int
 	// buf is the group draining one track per cycle; pending is the group
-	// read this cycle, installed once buf finishes draining.
-	buf     *bufferedGroup
-	pending *bufferedGroup
+	// read this cycle, installed once buf finishes draining. Lockstep
+	// streams of one title may share both, so the drain state lives here:
+	// bufNext is the next in-group offset of buf to deliver, and
+	// bufPooled/pendingPooled count down this stream's pool hold on each.
+	buf           *bufferedGroup
+	pending       *bufferedGroup
+	bufNext       int
+	bufPooled     int
+	pendingPooled int
 }
 
 func (s *sgStream) stream() *sched.Stream { return &s.Stream }
@@ -112,11 +118,14 @@ func (e *StaggeredGroup) CancelStream(id int) error {
 		return err
 	}
 	s.Done = true
-	// releaseGroups also recycles the groups' buffers to the arena.
-	if err := e.releaseGroups(s.buf, s.pending); err != nil {
+	if err := e.pool.Release(s.bufPooled + s.pendingPooled); err != nil {
 		return err
 	}
+	// The last sharer's drop recycles a group's buffers to the arena.
+	e.unshareGroup(s.buf)
+	e.unshareGroup(s.pending)
 	s.buf, s.pending = nil, nil
+	s.bufPooled, s.pendingPooled = 0, 0
 	return nil
 }
 
@@ -131,7 +140,13 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 	// Read pass: streams at their phase read their next whole group. As
 	// in Streaming RAID, each reading stream touches exactly one cluster
 	// this cycle, so the pass fans out per cluster; the buffer pool only
-	// grows here, keeping its peak worker-count-independent.
+	// grows here, keeping its peak worker-count-independent. Same-phase
+	// streams staging the same group share one physical read through the
+	// stage cache; each keeps its own drain cursor and pool countdown.
+	merge := !e.cfg.DisableMergedReads
+	if merge {
+		e.ensureStageCaches()
+	}
 	readers := make([][]*sgStream, e.cfg.Layout.Clusters())
 	for _, s := range e.streams {
 		if s.Done || s.Terminated || e.cycle%width != s.phase || s.nextGroup >= len(s.Obj.Groups) {
@@ -141,12 +156,14 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 		readers[cl] = append(readers[cl], s)
 	}
 	if err := e.runClusters(ctx, func(shard *sched.CycleContext, cl int) error {
+		var cache map[*layout.Group]*bufferedGroup
+		if merge && len(readers[cl]) > 1 {
+			cache = e.stageCacheFor(cl)
+		}
 		for _, s := range readers[cl] {
 			g := &s.Obj.Groups[s.nextGroup]
 			s.nextGroup++
-			// No stage cache: SG streams drain a group over C-1 cycles via a
-			// private cursor, so sharing the struct would tangle cursors.
-			staged, err := e.stageGroup(shard, g, nil)
+			staged, err := e.stageGroup(shard, g, cache)
 			if err != nil {
 				return err
 			}
@@ -154,6 +171,7 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 			// buffer; parity is dropped at the end of this read cycle (its
 			// only post-read use is masking a failure during the read).
 			s.pending = staged
+			s.pendingPooled = staged.pooled
 		}
 		return nil
 	}); err != nil {
@@ -166,38 +184,38 @@ func (e *StaggeredGroup) Step() (*sched.CycleReport, error) {
 		if s.Done || s.Terminated {
 			continue
 		}
-		if s.buf != nil && s.buf.next < s.buf.group.ValidTracks {
+		if s.buf != nil && s.bufNext < s.buf.group.ValidTracks {
 			e.deliverOne(s, ctx.Rep)
-			if s.buf.pooled > 0 {
+			if s.bufPooled > 0 {
 				if err := e.pool.Release(1); err != nil {
 					return nil, err
 				}
-				s.buf.pooled--
+				s.bufPooled--
 			}
 		}
-		if s.buf != nil && s.buf.next >= s.buf.group.ValidTracks {
+		if s.buf != nil && s.bufNext >= s.buf.group.ValidTracks {
 			// Fully drained (padding tracks, if any, are released too).
-			if s.buf.pooled > 0 {
-				if err := e.pool.Release(s.buf.pooled); err != nil {
+			if s.bufPooled > 0 {
+				if err := e.pool.Release(s.bufPooled); err != nil {
 					return nil, err
 				}
-				s.buf.pooled = 0
+				s.bufPooled = 0
 			}
-			e.recycleGroup(s.buf)
+			e.unshareGroup(s.buf)
 			s.buf = nil
 		}
 		if s.pending != nil {
 			// Drop the pending group's parity buffer at end of its read
 			// cycle, then promote it if the previous group has drained.
-			if s.pending.pooled > 0 {
+			if s.pendingPooled > 0 {
 				if err := e.pool.Release(1); err != nil {
 					return nil, err
 				}
-				s.pending.pooled--
+				s.pendingPooled--
 			}
 			if s.buf == nil {
-				s.buf = s.pending
-				s.pending = nil
+				s.buf, s.bufNext, s.bufPooled = s.pending, 0, s.pendingPooled
+				s.pending, s.pendingPooled = nil, 0
 			}
 		}
 		if s.Done {
@@ -213,22 +231,18 @@ func (e *StaggeredGroup) deliverOne(s *sgStream, rep *sched.CycleReport) {
 	bg := s.buf
 	width := len(bg.group.Data)
 	base := bg.group.Index * width
-	off := bg.next
-	bg.next++
-	if bg.data[off] == nil {
+	off := s.bufNext
+	s.bufNext++
+	if data, ref := e.takeTrack(bg, off); data == nil {
 		rep.Hiccups = append(rep.Hiccups, sched.Hiccup{
 			StreamID: s.ID, ObjectID: s.Obj.ID, Track: base + off,
 			Reason: "parity group unrecoverable",
 		})
 	} else {
-		ref := e.shareDelivered(bg.data[off])
 		rep.Delivered = append(rep.Delivered, sched.Delivery{
 			StreamID: s.ID, ObjectID: s.Obj.ID, Track: base + off,
-			Data: bg.data[off], Buf: ref, Reconstructed: bg.reconstructed[off],
+			Data: data, Buf: ref, Reconstructed: bg.reconstructed[off],
 		})
-		// Ownership moved to the Ref (released at the next Step's
-		// beginCycle); clear the slot so group recycling skips it.
-		bg.data[off] = nil
 	}
 	s.Advance(1)
 }

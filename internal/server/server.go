@@ -60,9 +60,9 @@ type Options struct {
 	// Workers bounds the engine's per-cluster parallelism within a cycle:
 	// 0 uses GOMAXPROCS, 1 runs serial. Reports are identical either way.
 	Workers int
-	// DisableMergedReads turns off the Streaming RAID engine's same-title
-	// read merging (see schemes.Config.DisableMergedReads); reports are
-	// identical either way.
+	// DisableMergedReads turns off the engines' same-title read merging
+	// (see schemes.Config.DisableMergedReads); reports are identical
+	// either way.
 	DisableMergedReads bool
 	// Metrics receives the engine's instruments; nil installs a fresh
 	// registry (exposed via Metrics/MetricsSnapshot).
