@@ -9,7 +9,6 @@ import (
 	"ftmm/internal/diskmodel"
 	"ftmm/internal/experiments"
 	"ftmm/internal/layout"
-	"ftmm/internal/parity"
 	"ftmm/internal/schemes"
 	"ftmm/internal/server"
 	"ftmm/internal/units"
@@ -148,201 +147,9 @@ func BenchmarkMonteCarlo(b *testing.B) {
 	}
 }
 
-// --- Engine microbenchmarks: cost of one scheduling cycle per scheme ---
-
-func benchRig(b *testing.B, placement layout.Placement) (*layout.Layout, schemes.Config, []*layout.Object) {
-	b.Helper()
-	p := diskmodel.Table1()
-	const d, c, nObj, groups = 20, 5, 8, 200
-	p.Capacity = units.ByteSize(nObj*groups*c/d+groups*c+10) * p.TrackSize
-	farm, err := disk.NewFarm(d, c, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lay, err := layout.ForFarm(farm, placement)
-	if err != nil {
-		b.Fatal(err)
-	}
-	trackSize := int(p.TrackSize)
-	var objs []*layout.Object
-	for i := 0; i < nObj; i++ {
-		id := fmt.Sprintf("obj%d", i)
-		obj, err := lay.AddObject(id, groups*(c-1), i%lay.Clusters(), units.MPEG1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := layout.WriteObject(farm, obj, workload.SyntheticContent(id, groups*(c-1)*trackSize)); err != nil {
-			b.Fatal(err)
-		}
-		objs = append(objs, obj)
-	}
-	return lay, schemes.Config{Farm: farm, Layout: lay, Rate: units.MPEG1}, objs
-}
-
-// benchCycles drives Step b.N times, rebuilding the engine (off the
-// clock) whenever its finite streams run out.
-func benchCycles(b *testing.B, build func() schemes.Simulator, perCycleBytes int64) {
-	b.Helper()
-	e := build()
-	b.ResetTimer()
-	b.SetBytes(perCycleBytes)
-	for i := 0; i < b.N; i++ {
-		if e.Active() == 0 {
-			b.StopTimer()
-			e = build()
-			b.StartTimer()
-		}
-		if _, err := e.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCycleStreamingRAID measures one Streaming RAID cycle with 8
-// streams (8 parity groups of real bytes moved per cycle).
-func BenchmarkCycleStreamingRAID(b *testing.B) {
-	_, cfg, objs := benchRig(b, layout.DedicatedParity)
-	build := func() schemes.Simulator {
-		e, err := schemes.NewStreamingRAID(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, o := range objs {
-			if _, err := e.AddStream(o); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return e
-	}
-	benchCycles(b, build, int64(len(objs))*5*50_000)
-}
-
-// BenchmarkCycleStaggeredGroup measures one Staggered-group cycle.
-func BenchmarkCycleStaggeredGroup(b *testing.B) {
-	_, cfg, objs := benchRig(b, layout.DedicatedParity)
-	build := func() schemes.Simulator {
-		e, err := schemes.NewStaggeredGroup(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, o := range objs {
-			if _, err := e.AddStream(o); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.Step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return e
-	}
-	benchCycles(b, build, int64(len(objs))*50_000/4*5)
-}
-
-// BenchmarkCycleNonClustered measures one Non-clustered cycle.
-func BenchmarkCycleNonClustered(b *testing.B) {
-	_, cfg, objs := benchRig(b, layout.DedicatedParity)
-	build := func() schemes.Simulator {
-		e, err := schemes.NewNonClustered(cfg, schemes.AlternateSwitchover, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, o := range objs {
-			if _, err := e.AddStream(o); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.Step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return e
-	}
-	benchCycles(b, build, int64(len(objs))*50_000)
-}
-
-// BenchmarkCycleNonClusteredDegraded measures a Non-clustered cycle while
-// one cluster runs degraded (the reconstruction hot path).
-func BenchmarkCycleNonClusteredDegraded(b *testing.B) {
-	// Each rebuild needs a farm with the drive still failed, so the rig
-	// is rebuilt per engine instance.
-	build := func() schemes.Simulator {
-		_, cfg, objs := benchRig(b, layout.DedicatedParity)
-		e, err := schemes.NewNonClustered(cfg, schemes.AlternateSwitchover, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, o := range objs {
-			if _, err := e.AddStream(o); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.Step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := e.FailDisk(0); err != nil {
-			b.Fatal(err)
-		}
-		return e
-	}
-	benchCycles(b, build, 8*50_000)
-}
-
-// BenchmarkCycleImprovedBandwidth measures one Improved-bandwidth cycle.
-func BenchmarkCycleImprovedBandwidth(b *testing.B) {
-	_, cfg, objs := benchRig(b, layout.IntermixedParity)
-	build := func() schemes.Simulator {
-		e, err := schemes.NewImprovedBandwidth(cfg, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, o := range objs {
-			if _, err := e.AddStream(o); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return e
-	}
-	benchCycles(b, build, int64(len(objs))*4*50_000)
-}
-
-// --- Substrate microbenchmarks ---
-
-// BenchmarkParityEncode measures XOR-encoding a C=5 parity group of 50 KB
-// tracks.
-func BenchmarkParityEncode(b *testing.B) {
-	blocks := make([][]byte, 4)
-	for i := range blocks {
-		blocks[i] = workload.SyntheticContent(fmt.Sprintf("b%d", i), 50_000)
-	}
-	b.SetBytes(4 * 50_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := parity.Encode(blocks); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkParityReconstruct measures rebuilding one erased 50 KB track
-// into a reused destination — the engines' hot path. Accounted like
-// Encode (three survivors in, one block out) so the two rows compare.
-func BenchmarkParityReconstruct(b *testing.B) {
-	blocks := make([][]byte, 4)
-	for i := range blocks {
-		blocks[i] = workload.SyntheticContent(fmt.Sprintf("b%d", i), 50_000)
-	}
-	g, err := parity.NewGroup(blocks)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := make([]byte, 50_000)
-	b.SetBytes(4 * 50_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := g.ReconstructDataInto(dst, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- Whole-service benchmarks. The per-cycle data-path rows (Cycle*,
+// Netserve*, Parity*) are defined once, in cmd/ftmmbench; run them with
+// `go test -bench Rows ./cmd/ftmmbench`. ---
 
 // BenchmarkRebuildDrive measures a full parity rebuild of one drive.
 func BenchmarkRebuildDrive(b *testing.B) {

@@ -1,8 +1,9 @@
 // Performance-baseline mode: -bench-baseline <path> runs the data-path
-// benchmark suite (one scheduling cycle per scheme, the netserve
-// loopback delivery path, plus the parity substrate) via
-// testing.Benchmark and writes ns/op, allocs/op, and the stream count
-// to a BENCH_*.json file.
+// benchmark rows (one scheduling cycle per scheme, the netserve delivery
+// paths, plus the parity substrate) via testing.Benchmark and writes
+// ns/op, allocs/op, and the stream count to a BENCH_*.json file.
+// baselineSpecs is the only definition of those rows; `go test -bench
+// Rows ./cmd/ftmmbench` runs the same table (rows_test.go).
 //
 // If the output file already exists, its previous "benchmarks" section
 // is carried forward as "pre_change" (unless it already carries one), so
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,10 +60,14 @@ type benchEntry struct {
 
 // baselineFile is the BENCH_*.json wire shape.
 type baselineFile struct {
-	Schema     string       `json:"schema"`
-	GoVersion  string       `json:"go_version"`
-	GOOS       string       `json:"goos"`
-	GOARCH     string       `json:"goarch"`
+	Schema    string `json:"schema"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	// GOMAXPROCS the rows ran at. The engine's per-cycle goroutines make
+	// allocs/op depend on it, so -bench-compare refuses two files that
+	// record different values. Zero (absent) in files that predate it.
+	GOMAXPROCS int          `json:"gomaxprocs,omitempty"`
 	Benchmarks []benchEntry `json:"benchmarks"`
 	// Capacity holds the scheme-comparison section: degraded-mode
 	// stream capacity and measured rebuild window per scheme (see
@@ -72,190 +78,54 @@ type baselineFile struct {
 	PreChange []benchEntry `json:"pre_change,omitempty"`
 }
 
-// baselineRig mirrors the bench_test.go rig: 20 drives in clusters of 5,
-// 8 objects of 200 parity groups each.
-func baselineRig(tb testing.TB, placement layout.Placement) (schemes.Config, []*layout.Object) {
-	p := diskmodel.Table1()
-	const d, c, nObj, groups = 20, 5, 8, 200
-	p.Capacity = units.ByteSize(nObj*groups*c/d+groups*c+10) * p.TrackSize
-	farm, err := disk.NewFarm(d, c, p)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	lay, err := layout.ForFarm(farm, placement)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	trackSize := int(p.TrackSize)
-	var objs []*layout.Object
-	for i := 0; i < nObj; i++ {
-		id := fmt.Sprintf("obj%d", i)
-		obj, err := lay.AddObject(id, groups*(c-1), i%lay.Clusters(), units.MPEG1)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := layout.WriteObject(farm, obj, workload.SyntheticContent(id, groups*(c-1)*trackSize)); err != nil {
-			tb.Fatal(err)
-		}
-		objs = append(objs, obj)
-	}
-	return schemes.Config{Farm: farm, Layout: lay, Rate: units.MPEG1}, objs
-}
-
-// declusteredBaselineRig mirrors baselineRig for the fifth scheme: the
-// same catalog shape (8 objects of 200 parity groups of C=5) but placed
-// on two 9-drive declustering groups via the complete (9,5) design.
-func declusteredBaselineRig(tb testing.TB) (schemes.Config, []*layout.Object) {
-	p := diskmodel.Table1()
-	const d, g, c, nObj, groups = 18, 9, 5, 8, 200
-	p.Capacity = units.ByteSize(nObj*groups*c/d+groups*c+10) * p.TrackSize
-	farm, err := disk.NewFarm(d, g, p)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	lay, err := layout.ForFarmDeclustered(farm, c)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	trackSize := int(p.TrackSize)
-	var objs []*layout.Object
-	for i := 0; i < nObj; i++ {
-		id := fmt.Sprintf("obj%d", i)
-		obj, err := lay.AddObject(id, groups*(c-1), i%lay.Clusters(), units.MPEG1)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := layout.WriteObject(farm, obj, workload.SyntheticContent(id, groups*(c-1)*trackSize)); err != nil {
-			tb.Fatal(err)
-		}
-		objs = append(objs, obj)
-	}
-	return schemes.Config{Farm: farm, Layout: lay, Rate: units.MPEG1}, objs
-}
-
-// benchEngineCycles drives Step b.N times, rebuilding the engine (off
-// the clock) whenever its finite streams run out.
-func benchEngineCycles(b *testing.B, build func(tb testing.TB) schemes.Simulator, perCycleBytes int64) {
-	e := build(b)
-	b.SetBytes(perCycleBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if e.Active() == 0 {
-			b.StopTimer()
-			e = build(b)
-			b.StartTimer()
-		}
-		if _, err := e.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// admitAll adds every object as a stream; prime additionally steps once
-// per admission, matching the staggered-admission engines' benchmarks.
-func admitAll(tb testing.TB, e schemes.Simulator, objs []*layout.Object, prime bool) {
-	for _, o := range objs {
-		if _, err := e.AddStream(o); err != nil {
-			tb.Fatal(err)
-		}
-		if prime {
-			if _, err := e.Step(); err != nil {
-				tb.Fatal(err)
-			}
-		}
-	}
-}
-
-// baselineSpec names one benchmark in the suite.
+// baselineSpec is one data-path benchmark row.
 type baselineSpec struct {
 	name    string
 	streams int
-	run     func(b *testing.B)
+	// scheme tags a scheme-specific row with the -schemes name that
+	// selects it; untagged rows always run.
+	scheme string
+	// benchTime overrides -test.benchtime for this row under
+	// -bench-baseline ("" keeps the default).
+	benchTime string
+	run       func(b *testing.B)
 }
 
-const baselineTrack = 50_000 // Table 1 track size in bytes
+const (
+	baselineTrack = 50_000 // Table 1 track size in bytes
+	nObj          = 8      // streams in every Cycle* row
+)
 
 func baselineSpecs() []baselineSpec {
-	const nObj = 8
+	dedicated := clusteredRig(layout.DedicatedParity)
 	return []baselineSpec{
-		{"CycleStreamingRAID", nObj, func(b *testing.B) {
-			cfg, objs := baselineRig(b, layout.DedicatedParity)
-			benchEngineCycles(b, func(tb testing.TB) schemes.Simulator {
-				e, err := schemes.NewStreamingRAID(cfg)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				admitAll(tb, e, objs, false)
-				return e
-			}, nObj*5*baselineTrack)
-		}},
-		{"CycleStaggeredGroup", nObj, func(b *testing.B) {
-			cfg, objs := baselineRig(b, layout.DedicatedParity)
-			benchEngineCycles(b, func(tb testing.TB) schemes.Simulator {
-				e, err := schemes.NewStaggeredGroup(cfg)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				admitAll(tb, e, objs, true)
-				return e
-			}, nObj*baselineTrack/4*5)
-		}},
-		{"CycleNonClustered", nObj, func(b *testing.B) {
-			cfg, objs := baselineRig(b, layout.DedicatedParity)
-			benchEngineCycles(b, func(tb testing.TB) schemes.Simulator {
-				e, err := schemes.NewNonClustered(cfg, schemes.AlternateSwitchover, 2)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				admitAll(tb, e, objs, true)
-				return e
-			}, nObj*baselineTrack)
-		}},
-		{"CycleNonClusteredDegraded", nObj, func(b *testing.B) {
-			// FailDisk mutates the farm, so each engine instance needs a
-			// fresh rig.
-			benchEngineCycles(b, func(tb testing.TB) schemes.Simulator {
-				cfg, objs := baselineRig(tb, layout.DedicatedParity)
-				e, err := schemes.NewNonClustered(cfg, schemes.AlternateSwitchover, 2)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				admitAll(tb, e, objs, true)
-				if err := e.FailDisk(0); err != nil {
-					tb.Fatal(err)
-				}
-				return e
-			}, nObj*baselineTrack)
-		}},
-		{"CycleImprovedBandwidth", nObj, func(b *testing.B) {
-			cfg, objs := baselineRig(b, layout.IntermixedParity)
-			benchEngineCycles(b, func(tb testing.TB) schemes.Simulator {
-				e, err := schemes.NewImprovedBandwidth(cfg, 2)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				admitAll(tb, e, objs, false)
-				return e
-			}, nObj*4*baselineTrack)
-		}},
-		{"CycleDeclustered", nObj, func(b *testing.B) {
-			cfg, objs := declusteredBaselineRig(b)
-			benchEngineCycles(b, func(tb testing.TB) schemes.Simulator {
-				e, err := schemes.NewDeclustered(cfg)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				admitAll(tb, e, objs, false)
-				return e
-			}, nObj*5*baselineTrack)
-		}},
-		{"NetserveLoopbackStream", 1, func(b *testing.B) {
+		{name: "CycleStreamingRAID", streams: nObj, scheme: "sr",
+			run: cycleRun(dedicated, nObj*5, false, false, func(c schemes.Config) (schemes.Simulator, error) {
+				return schemes.NewStreamingRAID(c)
+			})},
+		{name: "CycleStaggeredGroup", streams: nObj, scheme: "sg",
+			run: cycleRun(dedicated, nObj/4*5, true, false, func(c schemes.Config) (schemes.Simulator, error) {
+				return schemes.NewStaggeredGroup(c)
+			})},
+		{name: "CycleNonClustered", streams: nObj, scheme: "nc",
+			run: cycleRun(dedicated, nObj, true, false, newNonClustered)},
+		{name: "CycleNonClusteredDegraded", streams: nObj, scheme: "nc",
+			run: cycleRun(dedicated, nObj, true, true, newNonClustered)},
+		{name: "CycleImprovedBandwidth", streams: nObj, scheme: "ib",
+			run: cycleRun(clusteredRig(layout.IntermixedParity), nObj*4, false, false, func(c schemes.Config) (schemes.Simulator, error) {
+				return schemes.NewImprovedBandwidth(c, 2)
+			})},
+		{name: "CycleDeclustered", streams: nObj, scheme: "dc",
+			run: cycleRun(declusteredRig, nObj*5, false, false, func(c schemes.Config) (schemes.Simulator, error) {
+				return schemes.NewDeclustered(c)
+			})},
+		{name: "NetserveLoopbackStream", streams: 1, run: func(b *testing.B) {
 			// End-to-end network delivery, steady state: one client streams
 			// long titles over loopback TCP with virtual-clock pacing and
 			// reused payload buffers; the op is one TRACK frame arriving at
 			// the client, with dial/admit amortized off the timer. The
 			// number is protocol + socket cost of the zero-copy write path.
-			ns, names, trackSize, _ := netserveBenchRig(b, 1, 128)
+			ns, _, names, trackSize := netserveRig(b, 1, 128, 0, netserve.Options{Clock: netserve.VirtualClock()})
 			defer ns.Close()
 			dial := func() *netserve.Client {
 				cl, err := netserve.Dial(ns.Addr().String(), 30*time.Second)
@@ -290,7 +160,7 @@ func baselineSpecs() []baselineSpec {
 				}
 			}
 		}},
-		{"NetserveFanout64", 64, func(b *testing.B) {
+		{name: "NetserveFanout64", streams: 64, run: func(b *testing.B) {
 			// Fan-out: 64 concurrent sessions over loopback, 8 per title.
 			// Like the wider fan-out rows, the cohort's dials and ADMIT
 			// handshakes run off the timer (64 TCP dials alone cost more
@@ -301,7 +171,7 @@ func baselineSpecs() []baselineSpec {
 			// per session per cycle — from connection setup.
 			benchFanoutTracks(b, 64, 8, 8)
 		}},
-		{"NetserveFanout1k", 1000, func(b *testing.B) {
+		{name: "NetserveFanout1k", streams: 1000, run: func(b *testing.B) {
 			// Wide fan-out on the Zipf head: 1000 concurrent sessions, 100
 			// per title, admitted in lockstep so every title's pack is
 			// served from one shared merged burst per cycle. One op is one
@@ -311,7 +181,7 @@ func baselineSpecs() []baselineSpec {
 			// payload references are shared across the pack.
 			benchFanoutTracks(b, 1000, 10, 24)
 		}},
-		{"NetserveFlashCrowd", 96, func(b *testing.B) {
+		{name: "NetserveFlashCrowd", streams: 96, run: func(b *testing.B) {
 			// Flash crowd with batched starts: 96 sessions, 24 per title,
 			// all arriving inside a 2-cycle admission window, so each
 			// title's crowd flushes as one batch onto one shared staged
@@ -320,7 +190,7 @@ func baselineSpecs() []baselineSpec {
 			// wait-p50/p99-ms are the client-visible cost of the window.
 			benchFlashCrowdTracks(b, 96, 4, 8, 2)
 		}},
-		{"ClusterFanout24", 24, func(b *testing.B) {
+		{name: "ClusterFanout24", streams: 24, run: func(b *testing.B) {
 			// Sharded fan-out: 24 concurrent sessions admitted through the
 			// coordinator across a 3-node cluster (each node holds its
 			// rendezvous placement slice, cold titles on 2 replicas). One
@@ -357,7 +227,7 @@ func baselineSpecs() []baselineSpec {
 				}
 			}
 		}},
-		{"ParityEncode", 0, func(b *testing.B) {
+		{name: "ParityEncode", run: func(b *testing.B) {
 			blocks := parityBlocks(4)
 			b.SetBytes(4 * baselineTrack)
 			b.ResetTimer()
@@ -367,7 +237,7 @@ func baselineSpecs() []baselineSpec {
 				}
 			}
 		}},
-		{"ParityReconstruct", 0, func(b *testing.B) {
+		{name: "ParityReconstruct", run: func(b *testing.B) {
 			// Allocation-free reconstruction into a reused block; the op
 			// touches four blocks (three survivors in, one rebuilt out),
 			// accounted like Encode so the two rows' MB/s are comparable.
@@ -384,64 +254,191 @@ func baselineSpecs() []baselineSpec {
 				}
 			}
 		}},
-		{"ParityXORInto", 0, func(b *testing.B) {
-			blocks := parityBlocks(2)
-			b.SetBytes(baselineTrack)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := parity.XORInto(blocks[0], blocks[1]); err != nil {
-					b.Fatal(err)
-				}
+		{name: "ParityXORInto", run: xorRun(parity.XORInto)},
+		{name: "ParityXORIntoRef", run: xorRun(parity.XORIntoRef)},
+		{name: "NetserveFanout10k", streams: 10_000, benchTime: "8s", run: func(b *testing.B) {
+			// Ten thousand sessions: ~20k sockets on one box, so the row
+			// first raises RLIMIT_NOFILE, and a longer bench time lets the
+			// iteration count climb past one cohort's first cycle.
+			if raceEnabled {
+				b.Skip("the race detector caps live goroutines at 8128; the row runs 10k consumers")
 			}
-		}},
-		{"ParityXORIntoWord", 0, func(b *testing.B) {
-			blocks := parityBlocks(2)
-			b.SetBytes(baselineTrack)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := parity.XORIntoWord(blocks[0], blocks[1]); err != nil {
-					b.Fatal(err)
-				}
+			if err := raiseFDLimit(25_000); err != nil {
+				// Unprivileged containers often pin the hard limit below the
+				// ask; the row skips rather than failing the whole run, and
+				// runBaseline drops the empty result from the file.
+				// testing.Benchmark swallows skip logs, hence the direct print.
+				fmt.Fprintf(os.Stderr, "NetserveFanout10k: %v (skipping row)\n", err)
+				b.Skip(err)
 			}
-		}},
-		{"ParityXORIntoBlocked", 0, func(b *testing.B) {
-			blocks := parityBlocks(2)
-			b.SetBytes(baselineTrack)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := parity.XORIntoBlocked(blocks[0], blocks[1]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"ParityXORIntoRef", 0, func(b *testing.B) {
-			blocks := parityBlocks(2)
-			b.SetBytes(baselineTrack)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := parity.XORIntoRef(blocks[0], blocks[1]); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchFanoutTracks(b, 10_000, 10, 12)
 		}},
 	}
 }
 
-// netserveBenchRig builds a loopback SR farm with the given catalog
-// shape and a virtual-clock netserve front end (8 drives in clusters of
-// 4, titles spread across both clusters).
-func netserveBenchRig(tb testing.TB, titles, groups int) (*netserve.NetServer, []string, int, int) {
+// selectRows returns the rows a -schemes filter keeps: every untagged
+// row plus the rows tagged with a named scheme (nc-simple selects the nc
+// rows). An empty filter keeps every row.
+func selectRows(only []string) []baselineSpec {
+	var rows []baselineSpec
+	for _, r := range baselineSpecs() {
+		if r.scheme == "" || len(only) == 0 || slices.ContainsFunc(only, func(o string) bool {
+			return o == r.scheme || (r.scheme == "nc" && o == "nc-simple")
+		}) {
+			rows = append(rows, r)
+		}
+	}
+	return rows
+}
+
+// engineRig builds the Cycle* rows' catalog: nObj objects of 200 parity
+// groups of C=5, written in full.
+type engineRig func(tb testing.TB) (schemes.Config, []*layout.Object)
+
+// clusteredRig places the catalog on 20 drives in clusters of 5.
+func clusteredRig(placement layout.Placement) engineRig {
+	return func(tb testing.TB) (schemes.Config, []*layout.Object) {
+		return buildEngineRig(tb, 20, 5, func(f *disk.Farm) (*layout.Layout, error) {
+			return layout.ForFarm(f, placement)
+		})
+	}
+}
+
+// declusteredRig places the catalog on two 9-drive declustering groups
+// via the complete (9,5) design.
+func declusteredRig(tb testing.TB) (schemes.Config, []*layout.Object) {
+	return buildEngineRig(tb, 18, 9, func(f *disk.Farm) (*layout.Layout, error) {
+		return layout.ForFarmDeclustered(f, 5)
+	})
+}
+
+// buildEngineRig writes the catalog onto d drives in groups of g, laid
+// out by newLayout.
+func buildEngineRig(tb testing.TB, d, g int, newLayout func(*disk.Farm) (*layout.Layout, error)) (schemes.Config, []*layout.Object) {
+	p := diskmodel.Table1()
+	const c, groups = 5, 200
+	p.Capacity = units.ByteSize(nObj*groups*c/d+groups*c+10) * p.TrackSize
+	farm, err := disk.NewFarm(d, g, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lay, err := newLayout(farm)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	trackSize := int(p.TrackSize)
+	var objs []*layout.Object
+	for i := 0; i < nObj; i++ {
+		id := fmt.Sprintf("obj%d", i)
+		obj, err := lay.AddObject(id, groups*(c-1), i%lay.Clusters(), units.MPEG1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := layout.WriteObject(farm, obj, workload.SyntheticContent(id, groups*(c-1)*trackSize)); err != nil {
+			tb.Fatal(err)
+		}
+		objs = append(objs, obj)
+	}
+	return schemes.Config{Farm: farm, Layout: lay, Rate: units.MPEG1}, objs
+}
+
+func newNonClustered(c schemes.Config) (schemes.Simulator, error) {
+	return schemes.NewNonClustered(c, schemes.AlternateSwitchover, 2)
+}
+
+// cycleRun measures one engine Step with every rig object admitted as a
+// stream, perCycle tracks moved per cycle. prime steps once per
+// admission, as the staggered-admission engines need. degraded fails
+// drive 0 after admission; that mutates the farm, so each engine
+// instance then gets a fresh rig. The engine is rebuilt off the clock
+// whenever its finite streams run out.
+func cycleRun(rig engineRig, perCycle int, prime, degraded bool, newEngine func(schemes.Config) (schemes.Simulator, error)) func(*testing.B) {
+	return func(b *testing.B) {
+		var cfg schemes.Config
+		var objs []*layout.Object
+		if !degraded {
+			cfg, objs = rig(b)
+		}
+		build := func() schemes.Simulator {
+			if degraded {
+				cfg, objs = rig(b)
+			}
+			e, err := newEngine(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, o := range objs {
+				if _, err := e.AddStream(o); err != nil {
+					b.Fatal(err)
+				}
+				if prime {
+					if _, err := e.Step(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if degraded {
+				if err := e.FailDisk(0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return e
+		}
+		e := build()
+		b.SetBytes(int64(perCycle) * baselineTrack)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if e.Active() == 0 {
+				b.StopTimer()
+				e = build()
+				b.StartTimer()
+			}
+			if _, err := e.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// xorRun measures one XOR kernel on a track-sized block pair.
+func xorRun(xor func(dst, src []byte) error) func(*testing.B) {
+	return func(b *testing.B) {
+		blocks := parityBlocks(2)
+		b.SetBytes(baselineTrack)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := xor(blocks[0], blocks[1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// rigCluster is netserveRig's cluster size.
+const rigCluster = 4
+
+// netserveRig builds a loopback SR farm (8 drives in clusters of 4,
+// titles of groups parity groups spread across both clusters) behind a
+// netserve front end built from opts. The send queue holds a whole
+// title: with a virtual clock or none, cycles run back to back, so the
+// queue is the only flow control and must keep the engine from
+// outrunning and shedding the clients. slots > 0 lifts the admission
+// budget to that many streams per disk: the wide fan-out rows measure
+// the delivery plane, not the paper's admission bound (with merged
+// reads the physical load is per title, not per session).
+func netserveRig(tb testing.TB, titles, groups, slots int, opts netserve.Options) (*netserve.NetServer, *server.Server, []string, int) {
 	scheme, policy, err := server.ParseScheme("sr")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	const d, c, reserve = 8, 4, 2
+	const d, c, reserve = 8, rigCluster, 2
 	p := diskmodel.Table1()
 	tracksPerTitle := groups * c
 	p.Capacity = units.ByteSize(titles*c*tracksPerTitle/d+tracksPerTitle+50) * p.TrackSize
 	srv, err := server.New(server.Options{
 		Disks: d, ClusterSize: c,
 		DiskParams: p, Scheme: scheme, K: reserve, NCPolicy: policy,
+		SlotsPerDisk: slots,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -454,144 +451,147 @@ func netserveBenchRig(tb testing.TB, titles, groups int) (*netserve.NetServer, [
 			tb.Fatal(err)
 		}
 	}
-	// The virtual clock steps cycles back to back with no pacing delay,
-	// so the send queue is the only flow control: it must hold a whole
-	// title's bursts or the engine outruns the clients and sheds them.
-	ns, err := netserve.New(netserve.Options{Server: srv, Clock: netserve.VirtualClock(), SendQueue: groups + 8})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return ns, names, trackSize, titleSize
-}
-
-// fanoutBenchRig is netserveBenchRig's manual-clock sibling, sized for
-// very wide fan-out: the admission budget is lifted to fanout slots per
-// disk (the row measures the delivery plane, not the paper's admission
-// bound — with merged reads the physical load is per title, not per
-// session), there is no pacing clock (the bench drives StepCycle), and
-// the send queue holds a whole title so no client can be shed however
-// fast cycles are pushed.
-func fanoutBenchRig(tb testing.TB, fanout, titles, groups, batchCycles int) (*netserve.NetServer, *server.Server, []string, int) {
-	scheme, policy, err := server.ParseScheme("sr")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	const d, c, reserve = 8, 4, 2
-	p := diskmodel.Table1()
-	tracksPerTitle := groups * c
-	p.Capacity = units.ByteSize(titles*c*tracksPerTitle/d+tracksPerTitle+50) * p.TrackSize
-	srv, err := server.New(server.Options{
-		Disks: d, ClusterSize: c,
-		DiskParams: p, Scheme: scheme, K: reserve, NCPolicy: policy,
-		SlotsPerDisk: fanout,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	trackSize := int(p.TrackSize)
-	titleSize := groups * (c - 1) * trackSize
-	names := workload.ObjectNames("bench", titles)
-	for i, id := range names {
-		if err := srv.AddTitle(id, units.ByteSize(titleSize), i, workload.SyntheticContent(id, titleSize)); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	ns, err := netserve.New(netserve.Options{Server: srv, SendQueue: groups + 8, BatchCycles: batchCycles})
+	opts.Server, opts.SendQueue = srv, groups+8
+	ns, err := netserve.New(opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return ns, srv, names, trackSize
 }
 
+// cohort is one wave of bench sessions, each drained by its own consumer
+// goroutine until the title's BYE.
+type cohort struct {
+	clients  []*netserve.Client
+	wg       sync.WaitGroup
+	finished atomic.Int32
+	tracks   atomic.Int64 // TRACK frames received across the cohort
+	errs     chan error
+}
+
+// startCohort dials n sessions with reused buffers, round-robin across
+// names, and starts one consumer per session. With admitFirst every
+// session ADMITs here, before any consumer runs, so the whole cohort
+// starts in the same cycle; otherwise each consumer ADMITs from its own
+// goroutine (the flash-crowd path, where ADMIT blocks until the batch
+// flushes under a StepCycle).
+func startCohort(b *testing.B, ns *netserve.NetServer, names []string, n int, admitFirst bool) *cohort {
+	c := &cohort{clients: make([]*netserve.Client, n), errs: make(chan error, n)}
+	for i := range c.clients {
+		cl, err := netserve.Dial(ns.Addr().String(), 30*time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cl.ReuseBuffers(true)
+		if admitFirst {
+			if _, err := cl.Admit(names[i%len(names)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		c.clients[i] = cl
+	}
+	for i, cl := range c.clients {
+		admit := ""
+		if !admitFirst {
+			admit = names[i%len(names)]
+		}
+		c.wg.Add(1)
+		go c.consume(cl, admit)
+	}
+	return c
+}
+
+func (c *cohort) consume(cl *netserve.Client, admit string) {
+	defer c.wg.Done()
+	defer c.finished.Add(1)
+	defer cl.Close()
+	if admit != "" {
+		if _, err := cl.Admit(admit); err != nil {
+			c.errs <- err
+			return
+		}
+	}
+	for {
+		ev, err := cl.Next()
+		if err != nil {
+			c.errs <- err
+			return
+		}
+		switch {
+		case ev.Hiccup != nil:
+			c.errs <- fmt.Errorf("hiccup: %+v", ev.Hiccup)
+			return
+		case ev.Bye != nil:
+			if ev.Bye.Reason != "finished" {
+				c.errs <- fmt.Errorf("bye %q", ev.Bye.Reason)
+			}
+			return
+		default:
+			c.tracks.Add(1)
+		}
+	}
+}
+
+// done reports whether every session has seen its BYE (or failed).
+func (c *cohort) done() bool { return c.finished.Load() == int32(len(c.clients)) }
+
+// yield waits out a cohort whose titles are fully pushed (or queued):
+// stepping is an idle no-op while it drains.
+func (c *cohort) yield(b *testing.B, start time.Time) {
+	time.Sleep(200 * time.Microsecond)
+	if time.Since(start) > 2*time.Minute {
+		b.Fatal("cohort never drained")
+	}
+}
+
+// finish unwinds the cohort off the clock. A cohort cut short at b.N is
+// force-closed, which makes its consumers' read errors expected, so they
+// are dropped; a cohort that ran to the end must report none.
+func (c *cohort) finish(b *testing.B) {
+	if !c.done() {
+		for _, cl := range c.clients {
+			cl.Close()
+		}
+		c.wg.Wait()
+		return
+	}
+	c.wg.Wait()
+	close(c.errs)
+	for err := range c.errs {
+		b.Fatal(err)
+	}
+}
+
 // benchFanoutTracks drives the fan-out rows: admit the whole cohort off
 // the timer (fanout sessions, round-robin across the titles, all in the
 // same cycle so same-title packs stay in lockstep), then step cycles
-// until b.N tracks have gone out, re-admitting a fresh cohort whenever
-// the titles run dry. The op is one delivered TRACK frame, counted
-// across all sessions, so SetBytes(trackSize) makes MB/s the aggregate
-// delivery rate.
+// until b.N tracks have gone out, admitting a fresh cohort whenever the
+// titles run dry. The op is one delivered TRACK frame, counted across
+// all sessions, so SetBytes(trackSize) makes MB/s the aggregate delivery
+// rate.
 func benchFanoutTracks(b *testing.B, fanout, titles, groups int) {
-	const clusterSize = 4 // fanoutBenchRig's farm shape
-	perCycle := fanout * (clusterSize - 1)
-	ns, srv, names, trackSize := fanoutBenchRig(b, fanout, titles, groups, 0)
+	perCycle := fanout * (rigCluster - 1)
+	ns, srv, names, trackSize := netserveRig(b, titles, groups, fanout, netserve.Options{})
 	defer ns.Close()
 	b.SetBytes(int64(trackSize))
 	b.ResetTimer()
 	for delivered := 0; delivered < b.N; {
 		b.StopTimer()
-		clients := make([]*netserve.Client, fanout)
-		for i := range clients {
-			cl, err := netserve.Dial(ns.Addr().String(), 30*time.Second)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cl.ReuseBuffers(true)
-			if _, err := cl.Admit(names[i%len(names)]); err != nil {
-				b.Fatal(err)
-			}
-			clients[i] = cl
-		}
-		var wg sync.WaitGroup
-		var finished atomic.Int32
-		errs := make(chan error, fanout)
-		for _, cl := range clients {
-			wg.Add(1)
-			go func(cl *netserve.Client) {
-				defer wg.Done()
-				defer finished.Add(1)
-				defer cl.Close()
-				for {
-					ev, err := cl.Next()
-					if err != nil {
-						errs <- err
-						return
-					}
-					switch {
-					case ev.Hiccup != nil:
-						errs <- fmt.Errorf("hiccup: %+v", ev.Hiccup)
-						return
-					case ev.Bye != nil:
-						if ev.Bye.Reason != "finished" {
-							errs <- fmt.Errorf("bye %q", ev.Bye.Reason)
-						}
-						return
-					}
-				}
-			}(cl)
-		}
+		c := startCohort(b, ns, names, fanout, true)
 		b.StartTimer()
 		start := time.Now()
-		for cyc := 0; finished.Load() < int32(fanout) && delivered < b.N; cyc++ {
+		for cyc := 0; !c.done() && delivered < b.N; cyc++ {
 			if err := ns.StepCycle(); err != nil {
 				b.Fatal(err)
 			}
 			if cyc < groups {
 				delivered += perCycle
 			} else {
-				// The whole title is pushed (or queued); the cohort is
-				// draining. Stepping is an idle no-op now, so yield.
-				time.Sleep(200 * time.Microsecond)
-				if time.Since(start) > 2*time.Minute {
-					b.Fatal("fan-out cohort never drained")
-				}
+				c.yield(b, start)
 			}
 		}
 		b.StopTimer()
-		if finished.Load() != int32(fanout) {
-			// b.N reached mid-title: unwind the cohort off the clock. The
-			// forced closes make the consumers' read errors expected, so
-			// they are dropped rather than checked.
-			for _, cl := range clients {
-				cl.Close()
-			}
-			wg.Wait()
-		} else {
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				b.Fatal(err)
-			}
-		}
+		c.finish(b)
 		b.StartTimer()
 	}
 	b.StopTimer()
@@ -610,61 +610,17 @@ func benchFanoutTracks(b *testing.B, fanout, titles, groups int) {
 // batch-wait percentiles, the same numbers /metricsz serves from
 // net_batched_starts, net_batch_runs, and net_batch_wait_ms.
 func benchFlashCrowdTracks(b *testing.B, fanout, titles, groups, batchCycles int) {
-	ns, srv, names, trackSize := fanoutBenchRig(b, fanout, titles, groups, batchCycles)
+	ns, srv, names, trackSize := netserveRig(b, titles, groups, fanout, netserve.Options{BatchCycles: batchCycles})
 	defer ns.Close()
 	b.SetBytes(int64(trackSize))
-	var delivered atomic.Int64
 	b.ResetTimer()
-	for delivered.Load() < int64(b.N) {
+	for delivered := int64(0); delivered < int64(b.N); {
 		b.StopTimer()
-		clients := make([]*netserve.Client, fanout)
-		for i := range clients {
-			cl, err := netserve.Dial(ns.Addr().String(), 30*time.Second)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cl.ReuseBuffers(true)
-			clients[i] = cl
-		}
-		var wg sync.WaitGroup
-		var finished atomic.Int32
-		errs := make(chan error, fanout)
-		for i, cl := range clients {
-			wg.Add(1)
-			go func(i int, cl *netserve.Client) {
-				defer wg.Done()
-				defer finished.Add(1)
-				defer cl.Close()
-				// Admit blocks until the batch flushes under a StepCycle.
-				if _, err := cl.Admit(names[i%len(names)]); err != nil {
-					errs <- err
-					return
-				}
-				for {
-					ev, err := cl.Next()
-					if err != nil {
-						errs <- err
-						return
-					}
-					switch {
-					case ev.Hiccup != nil:
-						errs <- fmt.Errorf("hiccup: %+v", ev.Hiccup)
-						return
-					case ev.Bye != nil:
-						if ev.Bye.Reason != "finished" {
-							errs <- fmt.Errorf("bye %q", ev.Bye.Reason)
-						}
-						return
-					default:
-						delivered.Add(1)
-					}
-				}
-			}(i, cl)
-		}
+		c := startCohort(b, ns, names, fanout, false)
 		// The crowd must be fully parked before the window starts
 		// closing, or stragglers would spill into a second batch.
 		for start := time.Now(); ns.PendingStarts() < fanout; {
-			if finished.Load() > 0 {
+			if c.finished.Load() > 0 {
 				b.Fatal("client died during flash-crowd admission")
 			}
 			if time.Since(start) > time.Minute {
@@ -674,33 +630,17 @@ func benchFlashCrowdTracks(b *testing.B, fanout, titles, groups, batchCycles int
 		}
 		b.StartTimer()
 		start := time.Now()
-		for cyc := 0; finished.Load() < int32(fanout) && delivered.Load() < int64(b.N); cyc++ {
+		for cyc := 0; !c.done() && delivered+c.tracks.Load() < int64(b.N); cyc++ {
 			if err := ns.StepCycle(); err != nil {
 				b.Fatal(err)
 			}
 			if cyc > batchCycles+groups {
-				// Everything is pushed (or queued); the cohort is
-				// draining. Stepping is an idle no-op now, so yield.
-				time.Sleep(200 * time.Microsecond)
-				if time.Since(start) > 2*time.Minute {
-					b.Fatal("flash-crowd cohort never drained")
-				}
+				c.yield(b, start)
 			}
 		}
 		b.StopTimer()
-		if finished.Load() != int32(fanout) {
-			// b.N reached mid-title: unwind the cohort off the clock.
-			for _, cl := range clients {
-				cl.Close()
-			}
-			wg.Wait()
-		} else {
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				b.Fatal(err)
-			}
-		}
+		c.finish(b)
+		delivered += c.tracks.Load()
 		b.StartTimer()
 	}
 	b.StopTimer()
@@ -804,26 +744,6 @@ func streamViaOnce(addr, title string) error {
 	}
 }
 
-// fanout10kSpec is the ten-thousand-session row: ~20k sockets on one
-// box, so it first raises RLIMIT_NOFILE (needs privilege if the hard
-// limit is below the ask) and runs under a longer bench time so the
-// iteration count climbs past one cohort's first cycle. Part of the
-// committed baseline since BENCH_6; -bench-fanout10k=false skips it on
-// fd-limited machines (the compare gate tolerates the missing row).
-func fanout10kSpec() baselineSpec {
-	return baselineSpec{"NetserveFanout10k", 10_000, func(b *testing.B) {
-		if err := raiseFDLimit(25_000); err != nil {
-			// Unprivileged containers often pin the hard limit below the
-			// ask; the row skips rather than failing the whole run, and
-			// runBaseline drops the empty result from the file.
-			// testing.Benchmark swallows skip logs, hence the direct print.
-			fmt.Fprintf(os.Stderr, "NetserveFanout10k: %v (skipping row)\n", err)
-			b.Skip(err)
-		}
-		benchFanoutTracks(b, 10_000, 10, 12)
-	}}
-}
-
 // raiseFDLimit lifts the soft (and if needed, hard) RLIMIT_NOFILE to n.
 func raiseFDLimit(n uint64) error {
 	var lim syscall.Rlimit
@@ -852,55 +772,24 @@ func parityBlocks(n int) [][]byte {
 	return blocks
 }
 
-// specScheme maps scheme-specific benchmark rows to the -schemes flag
-// name that selects them; rows not listed here always run.
-var specScheme = map[string]string{
-	"CycleStreamingRAID":        "sr",
-	"CycleStaggeredGroup":       "sg",
-	"CycleNonClustered":         "nc",
-	"CycleNonClusteredDegraded": "nc",
-	"CycleImprovedBandwidth":    "ib",
-	"CycleDeclustered":          "dc",
-}
-
 // runBaseline executes the suite and writes the baseline file,
 // preserving prior numbers as pre_change. It prints a per-benchmark
 // summary, including the allocs/op delta against pre_change when one is
 // available. A non-empty `only` (the -schemes flag) restricts the
 // scheme-specific rows and the capacity section to the named schemes;
 // substrate and netserve rows always run.
-func runBaseline(path string, fanout10k bool, only []string) error {
+func runBaseline(path string, only []string) error {
 	prev, err := readBaseline(path)
 	if err != nil {
 		return err
 	}
-	keep := func(name string) bool {
-		s, schemeRow := specScheme[name]
-		if !schemeRow || len(only) == 0 {
-			return true
-		}
-		for _, o := range only {
-			if o == s || (s == "nc" && o == "nc-simple") {
-				return true
-			}
-		}
-		return false
-	}
-	var specs []baselineSpec
-	for _, spec := range baselineSpecs() {
-		if keep(spec.name) {
-			specs = append(specs, spec)
-		}
-	}
-	if fanout10k {
-		specs = append(specs, fanout10kSpec())
-	}
 
 	out := baselineFile{
-		Schema:    "ftmm-bench-baseline/1",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
+		Schema:     "ftmm-bench-baseline/1",
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	if prev != nil {
 		if len(prev.PreChange) > 0 {
@@ -914,8 +803,8 @@ func runBaseline(path string, fanout10k bool, only []string) error {
 		pre[e.Name] = e
 	}
 
-	for _, spec := range specs {
-		restore := benchTimeFor(spec.name)
+	for _, spec := range selectRows(only) {
+		restore := setBenchTime(spec.benchTime)
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			spec.run(b)
@@ -996,9 +885,8 @@ func runBaseline(path string, fanout10k bool, only []string) error {
 // checkParityTiers asserts ParityReconstruct runs at no less than half
 // of ParityEncode's throughput. The two rows use identical byte
 // accounting (four blocks per op), so a big gap means the reconstruct
-// path fell off the word/unrolled XOR kernel onto the byte-wise
-// reference — the regression that once had Reconstruct at ~2.4 GB/s
-// against Encode's ~16.
+// path fell off the fast XOR kernel onto the byte-wise reference — the
+// regression that once had Reconstruct at ~2.4 GB/s against Encode's ~16.
 func checkParityTiers(rows []benchEntry) error {
 	var enc, rec float64
 	for _, e := range rows {
@@ -1013,19 +901,17 @@ func checkParityTiers(rows []benchEntry) error {
 		return nil
 	}
 	if rec < enc/2 {
-		return fmt.Errorf("ParityReconstruct at %.0f MB/s is below half of ParityEncode's %.0f MB/s: reconstruct is off the word kernel", rec, enc)
+		return fmt.Errorf("ParityReconstruct at %.0f MB/s is below half of ParityEncode's %.0f MB/s: reconstruct is off the fast kernel", rec, enc)
 	}
 	fmt.Printf("parity tier check: Reconstruct %.0f MB/s vs Encode %.0f MB/s (>= 0.5x ok)\n", rec, enc)
 	return nil
 }
 
-// benchTimeFor stretches -test.benchtime for the rows whose first
-// iteration alone nearly fills the default 1s target (a 10k-session
-// cycle moves ~1.5 GB), so testing.Benchmark still ramps b.N well past
-// one cycle and the per-track numbers average over a real run. Returns
-// a restore function for the default.
-func benchTimeFor(name string) func() {
-	if name != "NetserveFanout10k" {
+// setBenchTime overrides -test.benchtime for one row (a 10k-session
+// cycle moves ~1.5 GB, so at the default 1s testing.Benchmark would stop
+// near one cycle) and returns a function that restores the default.
+func setBenchTime(d string) func() {
+	if d == "" {
 		return func() {}
 	}
 	testing.Init()
@@ -1034,7 +920,7 @@ func benchTimeFor(name string) func() {
 		return func() {}
 	}
 	old := bt.Value.String()
-	_ = bt.Value.Set("8s")
+	_ = bt.Value.Set(d)
 	return func() { _ = bt.Value.Set(old) }
 }
 

@@ -10,8 +10,9 @@ import (
 
 // Regression thresholds. ns/op is machine-dependent, so it gets a wide
 // 20% band (and can be demoted to a warning for cross-machine CI
-// compares); allocs/op is deterministic for the same code modulo
-// sync.Pool refills after GC, so it gets only a small noise allowance.
+// compares); allocs/op is deterministic for the same code at the same
+// GOMAXPROCS, modulo sync.Pool refills after GC, so it gets only a
+// small noise allowance.
 const (
 	compareNsTolerance = 0.20
 	// compareAllocSlack absorbs pool-refill jitter: a run may see a few
@@ -20,9 +21,11 @@ const (
 )
 
 // runCompare diffs newPath against oldPath (both -bench-baseline
-// output). It returns an error — non-zero exit — when any benchmark's
+// output). It returns an error — non-zero exit — when the files record
+// different GOMAXPROCS (the engine spawns per-cycle goroutines, so
+// allocs/op is not comparable across settings), when any benchmark's
 // allocs/op regresses beyond the noise slack, or when ns/op regresses
-// >20% and warnNs is false.
+// >20% and warnNs is false. A file without the field is compared as is.
 func runCompare(oldPath, newPath string, warnNS bool) error {
 	oldF, err := readBaseline(oldPath)
 	if err != nil {
@@ -37,6 +40,10 @@ func runCompare(oldPath, newPath string, warnNS bool) error {
 	}
 	if newF == nil {
 		return fmt.Errorf("%s: baseline not found", newPath)
+	}
+	if oldF.GOMAXPROCS != 0 && newF.GOMAXPROCS != 0 && oldF.GOMAXPROCS != newF.GOMAXPROCS {
+		return fmt.Errorf("not comparable: %s was recorded at GOMAXPROCS=%d, %s at GOMAXPROCS=%d; re-run with the same setting",
+			oldPath, oldF.GOMAXPROCS, newPath, newF.GOMAXPROCS)
 	}
 
 	oldByName := map[string]benchEntry{}

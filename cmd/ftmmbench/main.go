@@ -13,13 +13,15 @@
 // machine-readable results (metric values plus wall-clock) instead of
 // the rendered tables.
 //
-// -bench-baseline <path> instead runs the data-path benchmark suite
-// (one scheduling cycle per scheme plus the parity substrate) and
-// writes ns/op, allocs/op, and stream counts to a BENCH_*.json file;
-// numbers already in the file are preserved as pre_change for
-// before/after comparison (see BENCH_0.json). -bench-compare old.json
-// new.json diffs two such files and exits non-zero on regressions
-// (allocs/op always; ns/op unless -compare-warn-ns).
+// -bench-baseline <path> instead runs the data-path benchmark rows
+// (one scheduling cycle per scheme, the netserve delivery paths, and the
+// parity substrate) and writes ns/op, allocs/op, stream counts and
+// GOMAXPROCS to a BENCH_*.json file; numbers already in the file are
+// preserved as pre_change for before/after comparison (see BENCH_0.json).
+// `go test -bench Rows ./cmd/ftmmbench` runs the same rows as Go
+// benchmarks. -bench-compare old.json new.json diffs two such files and
+// exits non-zero on regressions (allocs/op always; ns/op unless
+// -compare-warn-ns), or when they were recorded at different GOMAXPROCS.
 package main
 
 import (
@@ -47,11 +49,9 @@ var (
 	benchSchemes = flag.String("schemes", "",
 		"with -bench-baseline, comma-separated scheme filter for the scheme-cycle rows and capacity section (default: all)")
 	benchCompare = flag.Bool("bench-compare", false,
-		"diff two -bench-baseline files (args: old.json new.json); exit non-zero on >20% ns/op or any allocs/op regression beyond pool-refill noise")
+		"diff two -bench-baseline files (args: old.json new.json); exit non-zero on >20% ns/op or any allocs/op regression beyond pool-refill noise, or on a GOMAXPROCS mismatch")
 	compareWarnNS = flag.Bool("compare-warn-ns", false,
 		"with -bench-compare, demote ns/op regressions to warnings (allocs/op still hard-fails) — for CI runners whose speed differs from the committed baseline's machine")
-	benchFanout10k = flag.Bool("bench-fanout10k", true,
-		"with -bench-baseline, run the NetserveFanout10k row (~20k sockets; raises RLIMIT_NOFILE and takes minutes); =false skips it on fd-limited machines")
 
 	cpuProfile = flag.String("cpuprofile", "",
 		"write a CPU profile to this file (see DESIGN.md for the fan-out profiling recipe)")
@@ -114,7 +114,7 @@ func run() int {
 	}
 
 	if *benchBaseline != "" {
-		if err := runBaseline(*benchBaseline, *benchFanout10k, only); err != nil {
+		if err := runBaseline(*benchBaseline, only); err != nil {
 			fmt.Fprintf(os.Stderr, "ftmmbench: %v\n", err)
 			return 1
 		}
@@ -255,9 +255,11 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage: ftmmbench [flags] [experiment]
 
 Run -list for experiment names; default runs all.
-Run -bench-baseline BENCH_N.json for the performance baseline suite.
+Run -bench-baseline BENCH_N.json for the performance baseline rows
+(the same rows as go test -bench Rows ./cmd/ftmmbench).
 Run -bench-compare [-compare-warn-ns] old.json new.json to diff two
-baseline files (fails on regressions).
+baseline files (fails on regressions, and on files recorded at
+different GOMAXPROCS).
 
 Flags:
 `)

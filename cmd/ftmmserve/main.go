@@ -60,8 +60,6 @@ var (
 	titles     = flag.Int("titles", 8, "titles in the tape library (full catalog, popularity order)")
 	groups     = flag.Int("groups", 20, "parity groups per title")
 	workers    = flag.Int("workers", 0, "engine per-cluster worker goroutines (0 = GOMAXPROCS)")
-	noMerge    = flag.Bool("no-merged-reads", false, "disable same-title read merging in every scheme's engine (benchmarking knob; reports are identical either way)")
-	noPipe     = flag.Bool("no-pipeline", false, "disable the two-stage cycle pipeline (benchmarking/bisection knob; delivered bytes are identical either way)")
 	speed      = flag.Float64("speed", 1, "wall-clock speedup for the pacer (0: virtual clock, cycles back to back)")
 	queue      = flag.Int("queue", 64, "per-session send queue depth in bursts (overflow sheds the client)")
 	batchCyc   = flag.Int("batch-cycles", 0, "hold flash-crowd ADMITs per title for up to this many cycles so same-title arrivals share one staged read (0: off)")
@@ -134,19 +132,17 @@ func runNode() error {
 		ID:     *nodeID,
 		Scheme: *schemeFlag,
 		Disks:  *disks, Cluster: *clusterSz, K: *k,
-		Decluster:          *decluster,
-		Workers:            *workers,
-		DisableMergedReads: *noMerge,
-		NoPipeline:         *noPipe,
-		GenTitles:          *titles,
-		Groups:             *groups,
-		Addr:               *addr,
-		HTTPAddr:           *httpAddr,
-		Clock:              clock,
-		SendQueue:          *queue,
-		BatchCycles:        *batchCyc,
-		WriteTimeout:       *writeTO,
-		EnablePprof:        *pprofFlag,
+		Decluster:    *decluster,
+		Workers:      *workers,
+		GenTitles:    *titles,
+		Groups:       *groups,
+		Addr:         *addr,
+		HTTPAddr:     *httpAddr,
+		Clock:        clock,
+		SendQueue:    *queue,
+		BatchCycles:  *batchCyc,
+		WriteTimeout: *writeTO,
+		EnablePprof:  *pprofFlag,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -11,7 +11,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 )
 
 // MemberState is a node's standing in the current view.
@@ -75,32 +74,6 @@ func (v *View) Member(id string) (Member, bool) {
 		}
 	}
 	return Member{}, false
-}
-
-// Live returns the IDs of members that can serve new sessions (active,
-// not draining, not dead), sorted.
-func (v *View) Live() []string {
-	var ids []string
-	for _, m := range v.Members {
-		if m.State == StateActive {
-			ids = append(ids, m.ID)
-		}
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Serving returns the IDs of members still carrying sessions (active or
-// draining), sorted.
-func (v *View) Serving() []string {
-	var ids []string
-	for _, m := range v.Members {
-		if m.State == StateActive || m.State == StateDraining {
-			ids = append(ids, m.ID)
-		}
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // String renders a compact one-line view description.

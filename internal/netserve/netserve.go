@@ -71,8 +71,9 @@ type Options struct {
 	// NoPipeline disables the two-stage cycle pipeline: StepCycle stages,
 	// flushes, and closes out the cycle's deliveries before returning,
 	// exactly as the pre-pipeline loop did, instead of overlapping them
-	// with the next cycle's engine reads. Bisection/debug knob — the
-	// bytes every client sees are bit-identical either way.
+	// with the next cycle's engine reads. The differential tests' oracle
+	// for the pipeline — the bytes every client sees are bit-identical
+	// either way.
 	NoPipeline bool
 	// BatchCycles, when > 0, batches flash-crowd starts: a fresh ADMIT
 	// parks for up to this many engine cycles so that same-title arrivals

@@ -3,7 +3,6 @@ package netserve
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -508,76 +507,5 @@ func TestProtoRoundTrip(t *testing.T) {
 	}
 	if _, _, err := parseTrack([]byte{1, 2}); err == nil {
 		t.Error("short TRACK payload accepted")
-	}
-}
-
-// BenchmarkLoopbackStream measures the steady-state delivery path:
-// one op is one TRACK frame received by a client streaming a long
-// title over loopback under virtual-clock pacing. Dial/admit happen
-// off the timer, so ns/op and allocs/op reflect the per-frame cost of
-// the zero-copy data plane, not session setup.
-func BenchmarkLoopbackStream(b *testing.B) {
-	scheme, policy, err := server.ParseScheme("sr")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const disks, cluster, groups = 8, 4, 128
-	p := diskmodel.Table1()
-	tracksPerTitle := groups * cluster
-	p.Capacity = units.ByteSize((cluster*tracksPerTitle)/disks+tracksPerTitle+50) * p.TrackSize
-	srv, err := server.New(server.Options{
-		Disks: disks, ClusterSize: cluster,
-		DiskParams: p, Scheme: scheme, K: 2, NCPolicy: policy,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	trackSize := int(p.TrackSize)
-	titleSize := groups * (cluster - 1) * trackSize
-	title := "bench-title"
-	if err := srv.AddTitle(title, units.ByteSize(titleSize), 0, workload.SyntheticContent(title, titleSize)); err != nil {
-		b.Fatal(err)
-	}
-	// The virtual clock steps cycles back to back with no pacing delay,
-	// so the send queue is the only flow control: it must hold a whole
-	// title's bursts or the engine outruns the client and sheds it.
-	ns, err := New(Options{Server: srv, Clock: VirtualClock(), SendQueue: groups + 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ns.Close()
-
-	dial := func() *Client {
-		c, err := Dial(ns.Addr().String(), 30*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.ReuseBuffers(true)
-		if _, err := c.Admit(title); err != nil {
-			b.Fatal(fmt.Errorf("admit: %w", err))
-		}
-		return c
-	}
-
-	cl := dial()
-	defer func() { cl.Close() }()
-	b.SetBytes(int64(trackSize))
-	b.ResetTimer()
-	for delivered := 0; delivered < b.N; {
-		ev, err := cl.Next()
-		if err != nil {
-			b.Fatal(err)
-		}
-		switch {
-		case ev.Bye != nil:
-			b.StopTimer()
-			cl.Close()
-			cl = dial()
-			b.StartTimer()
-		case ev.Hiccup != nil:
-			b.Fatalf("unexpected hiccup on track %d", ev.Hiccup.Track)
-		default:
-			delivered++
-		}
 	}
 }

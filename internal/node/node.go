@@ -43,15 +43,6 @@ type Config struct {
 	// GOMAXPROCS); SlotsPerDisk caps streams per drive (0 = analytic
 	// bound).
 	Workers, SlotsPerDisk int
-	// DisableMergedReads turns off same-title read merging in the
-	// engine, whatever its scheme (benchmarking/bisection knob; reports
-	// are identical either way).
-	DisableMergedReads bool
-	// NoPipeline turns off the front end's two-stage cycle pipeline, so
-	// each cycle stages and flushes before the next engine step
-	// (benchmarking/bisection knob; delivered bytes are identical either
-	// way).
-	NoPipeline bool
 	// Titles is the catalog this node serves. In a cluster this is the
 	// node's placement slice, not the full library. Nil loads
 	// GenTitles synthetic names.
@@ -124,7 +115,6 @@ func Start(cfg Config) (*Node, error) {
 		DeclusterGroup: cfg.Decluster,
 		DiskParams:     p, Scheme: scheme, K: cfg.K, NCPolicy: policy,
 		Workers: cfg.Workers, SlotsPerDisk: cfg.SlotsPerDisk,
-		DisableMergedReads: cfg.DisableMergedReads,
 	})
 	if err != nil {
 		return nil, err
@@ -157,7 +147,6 @@ func Start(cfg Config) (*Node, error) {
 		WriteBufferBytes: cfg.WriteBufferBytes,
 		BatchCycles:      cfg.BatchCycles,
 		EnablePprof:      cfg.EnablePprof,
-		NoPipeline:       cfg.NoPipeline,
 		Logf:             cfg.Logf,
 	})
 	if err != nil {

@@ -6,42 +6,27 @@ import (
 	"testing"
 )
 
-// xorKernels is the oracle chain: every implementation of the XOR fold,
-// slowest first. Differential tests run each against the byte-wise
-// reference so the production path's speed never rests on unverified
-// code.
-var xorKernels = []struct {
-	name string
-	fn   func(dst, src []byte) error
-}{
-	{"word", XORIntoWord},
-	{"blocked", XORIntoBlocked},
-	{"subtle", XORInto},
-}
-
-// TestXORKernelMatchesReference checks every kernel in the oracle chain
-// against the byte-wise reference across sizes that exercise every tail
-// path: empty, sub-word, word-aligned, unrolled-block-aligned, and
-// ragged lengths just around both boundaries.
+// TestXORKernelMatchesReference checks XORInto against the byte-wise
+// reference across sizes that exercise every tail path: empty, sub-word,
+// word-aligned, unrolled-block-aligned, and ragged lengths just around
+// both boundaries.
 func TestXORKernelMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	sizes := []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1000, 4096, 50_000, 50_001}
-	for _, k := range xorKernels {
-		for _, n := range sizes {
-			dst := make([]byte, n)
-			src := make([]byte, n)
-			r.Read(dst)
-			r.Read(src)
-			want := append([]byte(nil), dst...)
-			if err := XORIntoRef(want, src); err != nil {
-				t.Fatal(err)
-			}
-			if err := k.fn(dst, src); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(dst, want) {
-				t.Fatalf("%s kernel, size %d: differs from reference", k.name, n)
-			}
+	for _, n := range sizes {
+		dst := make([]byte, n)
+		src := make([]byte, n)
+		r.Read(dst)
+		r.Read(src)
+		want := append([]byte(nil), dst...)
+		if err := XORIntoRef(want, src); err != nil {
+			t.Fatal(err)
+		}
+		if err := XORInto(dst, src); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("size %d: differs from reference", n)
 		}
 	}
 }
@@ -53,24 +38,22 @@ func TestXORKernelUnalignedOffsets(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	backingD := make([]byte, 256)
 	backingS := make([]byte, 256)
-	for _, k := range xorKernels {
-		for do := 0; do < 9; do++ {
-			for so := 0; so < 9; so++ {
-				for _, n := range []int{1, 8, 17, 64, 100} {
-					r.Read(backingD)
-					r.Read(backingS)
-					dst := backingD[do : do+n]
-					src := backingS[so : so+n]
-					want := append([]byte(nil), dst...)
-					if err := XORIntoRef(want, src); err != nil {
-						t.Fatal(err)
-					}
-					if err := k.fn(dst, src); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(dst, want) {
-						t.Fatalf("%s kernel, offsets (%d,%d) size %d: differs", k.name, do, so, n)
-					}
+	for do := 0; do < 9; do++ {
+		for so := 0; so < 9; so++ {
+			for _, n := range []int{1, 8, 17, 64, 100} {
+				r.Read(backingD)
+				r.Read(backingS)
+				dst := backingD[do : do+n]
+				src := backingS[so : so+n]
+				want := append([]byte(nil), dst...)
+				if err := XORIntoRef(want, src); err != nil {
+					t.Fatal(err)
+				}
+				if err := XORInto(dst, src); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("offsets (%d,%d) size %d: differs", do, so, n)
 				}
 			}
 		}
@@ -166,60 +149,6 @@ func TestEncodeIntoZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("EncodeInto allocates %.1f per run, want 0", n)
-	}
-}
-
-// BenchmarkXORIntoWord measures the word-wise kernel on one track-sized
-// (50 KB) block pair.
-func BenchmarkXORIntoWord(b *testing.B) {
-	dst := make([]byte, 50_000)
-	src := make([]byte, 50_000)
-	b.SetBytes(50_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := XORIntoWord(dst, src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkXORIntoBlocked measures the 4-way register-blocked kernel.
-func BenchmarkXORIntoBlocked(b *testing.B) {
-	dst := make([]byte, 50_000)
-	src := make([]byte, 50_000)
-	b.SetBytes(50_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := XORIntoBlocked(dst, src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkXORInto measures the production dispatch (subtle.XORBytes).
-func BenchmarkXORInto(b *testing.B) {
-	dst := make([]byte, 50_000)
-	src := make([]byte, 50_000)
-	b.SetBytes(50_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := XORInto(dst, src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkXORIntoRef measures the retained byte-wise reference on the
-// same block size, pinning the kernel speedup claim.
-func BenchmarkXORIntoRef(b *testing.B) {
-	dst := make([]byte, 50_000)
-	src := make([]byte, 50_000)
-	b.SetBytes(50_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := XORIntoRef(dst, src); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -84,9 +84,6 @@ func (e *ImprovedBandwidth) CycleTime() time.Duration {
 	return e.cfg.Farm.Params().CycleTime(e.cfg.Layout.GroupWidth(), e.cfg.Rate)
 }
 
-// Reserve returns the per-drive reserved slot count.
-func (e *ImprovedBandwidth) Reserve() int { return e.reserve }
-
 // Active implements Simulator.
 func (e *ImprovedBandwidth) Active() int { return activeCount(e.streams) }
 

@@ -156,9 +156,6 @@ func NewNonClustered(cfg Config, policy TransitionPolicy, k int) (*NonClustered,
 // Name implements Simulator.
 func (e *NonClustered) Name() string { return "Non-clustered" }
 
-// Policy returns the transition policy in use.
-func (e *NonClustered) Policy() TransitionPolicy { return e.policy }
-
 // CycleTime implements Simulator: Tcyc = B/b0 (k' = 1).
 func (e *NonClustered) CycleTime() time.Duration {
 	return e.cfg.Farm.Params().CycleTime(1, e.cfg.Rate)

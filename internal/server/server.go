@@ -14,7 +14,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -645,23 +644,6 @@ func (s *Server) BeginDrain() { s.draining = true }
 
 // Draining reports whether the server is refusing new admissions.
 func (s *Server) Draining() bool { return s.draining }
-
-// StreamTitle returns the title a live stream is delivering; ok is
-// false once the stream has finished, terminated, or been cancelled.
-func (s *Server) StreamTitle(streamID int) (string, bool) {
-	id, ok := s.objOf[streamID]
-	return id, ok
-}
-
-// ActiveStreamIDs returns the live stream IDs in ascending order.
-func (s *Server) ActiveStreamIDs() []int {
-	ids := make([]int, 0, len(s.objOf))
-	for id := range s.objOf {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
 
 // progresser is implemented by all engines: per-stream delivery
 // progress for status surfaces and pacing front-ends.

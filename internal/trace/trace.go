@@ -71,16 +71,6 @@ func (r *Recorder) Observe(rep *sched.CycleReport) {
 	}
 }
 
-// Record appends one event observed outside a CycleReport — e.g. a
-// network client folding received frames into a trace. Delivered data
-// is copied, like Observe.
-func (r *Recorder) Record(e Event) {
-	if !e.Lost {
-		e.Data = append([]byte(nil), e.Data...)
-	}
-	r.events = append(r.events, e)
-}
-
 // Events returns the recorded events in observation order.
 func (r *Recorder) Events() []Event { return r.events }
 
