@@ -12,6 +12,11 @@
 // (internal/chaos) and exits non-zero on any invariant violation:
 //
 //	ftmmsim -chaos -seed 1 -campaign 50 -chaos-out /tmp/traces
+//
+// With -scenario it replays one scenario file under the same checkers,
+// also exiting non-zero on a violation:
+//
+//	ftmmsim -scenario scenarios/nc-failure-drill.json
 package main
 
 import (
@@ -31,7 +36,7 @@ import (
 )
 
 var (
-	scenarioPath = flag.String("scenario", "", "run a JSON scenario file instead of flag-driven setup (see scenarios/)")
+	scenarioPath = flag.String("scenario", "", "replay a JSON scenario file under the chaos checkers instead of flag-driven setup (see scenarios/)")
 	chaosMode    = flag.Bool("chaos", false, "run a deterministic chaos campaign instead of a single simulation")
 	campaignRuns = flag.Int("campaign", 20, "chaos: randomized runs in the campaign")
 	chaosNodes   = flag.Int("chaos-nodes", 0, "chaos: fan each run across this many cluster nodes with node kill/drain events (0: single node)")
@@ -224,9 +229,10 @@ func cfgSchemes(cfg chaos.CampaignConfig) []string {
 	return chaos.SchemeNames()
 }
 
-// runScenario executes a declarative JSON scenario file. Cluster specs
-// (nodes > 1) replay through the chaos cluster runner under the full
-// checker set; single-node specs run the classic simulation.
+// runScenario replays a JSON scenario file — single-node or cluster —
+// through the chaos runner under the full checker set, prints the
+// farm's counters summed over nodes and the session ledger, and fails
+// on any invariant violation.
 func runScenario(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -236,41 +242,20 @@ func runScenario(path string) error {
 	if err != nil {
 		return err
 	}
-	if spec.Nodes > 1 {
-		return runClusterScenario(path, spec)
-	}
-	res, err := spec.Run()
+	res, err := chaos.Run(chaos.RunConfig{Schedule: *chaos.FromSpec(spec)})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scenario %s: scheme=%s farm=%dx%d\n", path, spec.Scheme, spec.Disks, spec.ClusterSize)
-	fmt.Printf("requests admitted/rejected: %d/%d\n", res.Admitted, res.Rejected)
-	fmt.Printf("delivered tracks:           %d\n", res.Stats.Delivered)
-	fmt.Printf("hiccups:                    %d\n", res.Summary.Hiccups)
-	for cause, n := range res.Summary.HiccupsByCause {
-		fmt.Printf("  %-40s %d\n", cause, n)
-	}
-	fmt.Printf("reconstructions:            %d\n", res.Stats.Reconstructions)
-	fmt.Printf("streams finished:           %d, terminated: %d\n", res.Stats.Finished, res.Stats.Terminated)
-	fmt.Printf("buffer peak:                %d tracks\n", res.Stats.BufferPeak)
-	fmt.Printf("tertiary stagings:          %d (%v)\n", res.Stats.Stagings, res.StagingTime)
-	if res.IntegrityErr != nil {
-		return fmt.Errorf("INTEGRITY VIOLATION: %w", res.IntegrityErr)
-	}
-	fmt.Println("integrity:                  every delivered byte matched the stored content")
-	return nil
-}
-
-// runClusterScenario replays a cluster spec through the deterministic
-// multi-node chaos runner, exiting non-zero on any invariant breach.
-func runClusterScenario(path string, spec *scenario.Spec) error {
-	sch := chaos.FromSpec(spec)
-	res, err := chaos.RunCluster(chaos.ClusterRunConfig{Schedule: *sch})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("cluster scenario %s: scheme=%s nodes=%d replicas=%d farm=%dx%d per node\n",
-		path, spec.Scheme, spec.Nodes, spec.Replicas, spec.Disks, spec.ClusterSize)
+	fmt.Printf("scenario %s: scheme=%s nodes=%d farm=%dx%d per node\n",
+		path, spec.Scheme, max(spec.Nodes, 1), spec.Disks, spec.ClusterSize)
+	st := res.Stats
+	fmt.Printf("delivered tracks:   %d\n", st.Delivered)
+	fmt.Printf("hiccups:            %d\n", st.Hiccups)
+	fmt.Printf("reconstructions:    %d\n", st.Reconstructions)
+	fmt.Printf("streams finished:   %d, terminated: %d\n", st.Finished, st.Terminated)
+	fmt.Printf("disk reads:         %d data, %d parity\n", st.DataReads, st.ParityReads)
+	fmt.Printf("buffer peak:        %d tracks (sum of node peaks)\n", st.BufferPeak)
+	fmt.Printf("tertiary stagings:  %d, evictions: %d\n", st.Stagings, st.Evictions)
 	finished, resumed, lost, cancelled, terminated := 0, 0, 0, 0, 0
 	for _, s := range res.Sessions {
 		if s.Finished {
@@ -290,13 +275,13 @@ func runClusterScenario(path string, spec *scenario.Spec) error {
 			terminated++
 		}
 	}
-	fmt.Printf("sessions:  %d admitted, %d finished, %d failed over, %d lost, %d cancelled, %d terminated\n",
+	fmt.Printf("sessions:           %d admitted, %d finished, %d resumed, %d lost, %d cancelled, %d terminated\n",
 		len(res.Sessions), finished, resumed, lost, cancelled, terminated)
-	fmt.Printf("cycles:    %d, drained=%v\n", res.Cycles, res.Drained)
+	fmt.Printf("cycles:             %d, drained=%v\n", res.Cycles, res.Drained)
 	if res.Violation != nil {
 		return fmt.Errorf("%s violation at cycle %d: %s",
 			res.Violation.Checker, res.Violation.Cycle, res.Violation.Detail)
 	}
-	fmt.Println("invariants: per-node checkers and cross-node continuity all held")
+	fmt.Println("invariants:         every per-node and cross-node checker held")
 	return nil
 }

@@ -25,13 +25,12 @@ type CampaignConfig struct {
 	// NewCheckers builds a fresh checker set per run (and per shrink
 	// attempt); default DefaultCheckers.
 	NewCheckers func() []Checker
-	// Nodes > 1 runs a cluster campaign: schedules come from
-	// GenerateCluster and execute under RunCluster, with the
-	// NewClusterCheckers set layered across nodes. 0 or 1 is the
-	// classic single-node campaign.
+	// Nodes is the cluster size of every generated schedule
+	// (GenerateCluster): > 1 adds node kill/drain events, 0 or 1 is a
+	// single-node campaign.
 	Nodes int
-	// NewClusterCheckers builds the cluster-level checker set per run;
-	// default DefaultClusterCheckers. Only used when Nodes > 1.
+	// NewClusterCheckers builds the cross-node checker set per run;
+	// default DefaultClusterCheckers.
 	NewClusterCheckers func() []ClusterChecker
 	// Hooks are threaded into every run, letting tests inject engine
 	// bugs the campaign must catch.
@@ -85,41 +84,25 @@ func Campaign(cfg CampaignConfig) (*CampaignResult, error) {
 		seed := failure.TrialSeed(cfg.Seed, i)
 		rng := rand.New(rand.NewSource(seed))
 		scheme := cfg.Schemes[i%len(cfg.Schemes)]
-		var schedule Schedule
-		var violation *Violation
-		if cfg.Nodes > 1 {
-			schedule = GenerateCluster(rng, scheme, cfg.Nodes)
-			res, err := RunCluster(ClusterRunConfig{
-				Schedule: schedule, NewCheckers: cfg.NewCheckers,
-				ClusterCheckers: cfg.NewClusterCheckers(), Hooks: cfg.Hooks,
-			})
-			if err != nil {
-				return err
-			}
-			violation = res.Violation
-		} else {
-			schedule = Generate(rng, scheme)
-			res, err := Run(RunConfig{Schedule: schedule, Checkers: cfg.NewCheckers(), Hooks: cfg.Hooks})
-			if err != nil {
-				return err
-			}
-			violation = res.Violation
+		schedule := GenerateCluster(rng, scheme, cfg.Nodes)
+		res, err := Run(RunConfig{
+			Schedule: schedule, NewCheckers: cfg.NewCheckers,
+			ClusterCheckers: cfg.NewClusterCheckers(), Hooks: cfg.Hooks,
+		})
+		if err != nil {
+			return err
 		}
-		if violation == nil {
+		if res.Violation == nil {
 			return nil
 		}
 		shrunk := schedule
 		if !cfg.NoShrink {
-			if cfg.Nodes > 1 {
-				shrunk = ShrinkCluster(schedule, *violation, cfg.NewCheckers, cfg.NewClusterCheckers, cfg.Hooks)
-			} else {
-				shrunk = Shrink(schedule, *violation, cfg.NewCheckers, cfg.Hooks)
-			}
+			shrunk = Shrink(schedule, *res.Violation, cfg.NewCheckers, cfg.NewClusterCheckers, cfg.Hooks)
 		}
 		records[i] = &RunRecord{
 			Run: i, Seed: seed, Scheme: scheme,
 			Events:    len(schedule.Events),
-			Violation: *violation,
+			Violation: *res.Violation,
 			Shrunk:    shrunk,
 		}
 		return nil

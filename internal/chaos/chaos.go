@@ -18,20 +18,21 @@
 //     live report, delivered bytes match the stored content, and
 //     per-stream delivery advances one consecutive track at a time.
 //
-// Everything is reproducible from one int64 seed at any worker count.
-// On violation the campaign shrinks the schedule with delta debugging
-// to a 1-minimal reproducing trace and can export it as a scenario file
-// that cmd/ftmmsim replays (`-scenario`); regression traces live under
-// scenarios/.
+// One interpreter runs every schedule: Run drives N >= 1 nodes, and a
+// single-node schedule is simply a one-node cluster. Everything is
+// reproducible from one int64 seed at any worker count. On violation
+// the campaign shrinks the schedule with delta debugging to a
+// 1-minimal reproducing trace and can export it as a scenario file;
+// `ftmmsim -scenario` replays it through FromSpec and Run under the
+// same checkers, so the replay reproduces the violation. Regression
+// traces live under scenarios/.
 package chaos
 
 import (
 	"errors"
 	"fmt"
 
-	"ftmm/internal/analytic"
 	"ftmm/internal/scenario"
-	"ftmm/internal/server"
 )
 
 // EventKind names a schedule event type.
@@ -48,14 +49,18 @@ const (
 	// EventRebuild replaces Drive and starts the paper's online rebuild
 	// with Budget spare track reads per cycle.
 	EventRebuild EventKind = "rebuild"
+	// EventTapeReload replaces Drive and refills it from the tertiary
+	// library instead of from parity (a scenario failure's
+	// "tertiary": true repair).
+	EventTapeReload EventKind = "tape-reload"
 	// EventCancel hangs up the stream of the Stream-th successful
 	// admission (0-based).
 	EventCancel EventKind = "cancel"
-	// EventNodeKill (cluster runs only) kills node Node at the cycle
+	// EventNodeKill (multi-node runs only) kills node Node at the cycle
 	// boundary: it stops stepping forever and its live sessions fail
 	// over to surviving replica holders at the next group boundary.
 	EventNodeKill EventKind = "node-kill"
-	// EventNodeDrain (cluster runs only) drains node Node: it stops
+	// EventNodeDrain (multi-node runs only) drains node Node: it stops
 	// taking admissions and failovers while its streams play out, and
 	// must end empty (the leak checker still audits it).
 	EventNodeDrain EventKind = "node-drain"
@@ -88,8 +93,8 @@ type Event struct {
 	Drive  int       `json:"drive,omitempty"`
 	Budget int       `json:"budget,omitempty"`
 	Stream int       `json:"stream,omitempty"`
-	// Node is the target node of cluster runs: the killed/drained node
-	// for node events, the shard whose drive a fail/repair/rebuild
+	// Node is the target node: the killed/drained node for node
+	// events, the shard whose drive a fail/repair/rebuild/tape-reload
 	// hits. Single-node schedules leave it 0.
 	Node int `json:"node,omitempty"`
 	// Rate is the playback multiplier of ff events; Track the absolute
@@ -115,37 +120,20 @@ type Schedule struct {
 	TitleGroups    int     `json:"title_groups"`
 	MaxCycles      int     `json:"max_cycles"`
 	Events         []Event `json:"events"`
-	// Nodes > 1 spreads the run across a farm-per-node cluster
-	// (RunCluster); 0 or 1 is the classic single-node run. Replicas and
-	// PlacementSeed feed the rendezvous placement that decides which
-	// nodes hold which titles.
+	// Nodes > 1 spreads the run across a farm-per-node cluster; 0 or 1
+	// is a one-node run. Replicas and PlacementSeed feed the rendezvous
+	// placement that decides which nodes hold which titles.
 	Nodes         int   `json:"nodes,omitempty"`
 	Replicas      int   `json:"replicas,omitempty"`
 	PlacementSeed int64 `json:"placement_seed,omitempty"`
 }
 
-// FarmUnit returns the drive-group size the farm is built from: the
-// declustering group G for the dc scheme (defaulting to 2C-1), the
-// cluster C otherwise. Disks must be a whole number of these units.
-func (s *Schedule) FarmUnit() int {
-	if scheme, _, err := server.ParseScheme(s.Scheme); err == nil && scheme == analytic.DeclusteredParity {
-		if s.DeclusterGroup > 0 {
-			return s.DeclusterGroup
-		}
-		return 2*s.ClusterSize - 1
-	}
-	return s.ClusterSize
-}
-
 // Validate checks the schedule's shape.
 func (s *Schedule) Validate() error {
-	if _, _, err := server.ParseScheme(s.Scheme); err != nil {
-		return err
+	if err := scenario.CheckFarm(s.Scheme, s.Disks, s.ClusterSize, s.DeclusterGroup); err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
-	unit := s.FarmUnit()
 	switch {
-	case s.ClusterSize < 2 || unit < s.ClusterSize || s.Disks < unit || s.Disks%unit != 0:
-		return fmt.Errorf("chaos: bad farm %dx%d (unit %d)", s.Disks, s.ClusterSize, unit)
 	case s.Titles < 1 || s.TitleGroups < 1:
 		return errors.New("chaos: need at least one title with one group")
 	case s.MaxCycles < 1:
@@ -173,7 +161,7 @@ func (s *Schedule) Validate() error {
 			if ev.Title == "" {
 				return fmt.Errorf("chaos: admit without title at cycle %d", ev.Cycle)
 			}
-		case EventFail, EventRepair:
+		case EventFail, EventRepair, EventTapeReload:
 			if ev.Drive < 0 || ev.Drive >= s.Disks {
 				return fmt.Errorf("chaos: event %+v on drive outside [0,%d)", ev, s.Disks)
 			}
@@ -215,9 +203,11 @@ func (s *Schedule) Validate() error {
 
 // ToSpec converts the schedule into a replayable scenario.Spec: the
 // exact form `ftmmsim -scenario` consumes and the regression corpus
-// under scenarios/ is stored in. Fail events pair with the next repair
-// or rebuild of the same drive; repairs whose failure is absent from
-// the schedule are dropped (the runner treats them as no-ops anyway).
+// under scenarios/ is stored in. Fail events pair with the next repair,
+// rebuild or tape reload of the same drive; repairs whose failure is
+// absent from the schedule are dropped (the runner treats them as
+// no-ops anyway). ToSpec inverts FromSpec: every spec under scenarios/
+// survives the round trip unchanged.
 func (s *Schedule) ToSpec() *scenario.Spec {
 	spec := &scenario.Spec{
 		Scheme: s.Scheme, Disks: s.Disks, ClusterSize: s.ClusterSize,
@@ -225,6 +215,9 @@ func (s *Schedule) ToSpec() *scenario.Spec {
 		K:              s.K, Titles: s.Titles, TitleGroups: s.TitleGroups,
 		MaxCycles: s.MaxCycles,
 		Nodes:     s.Nodes, Replicas: s.Replicas, PlacementSeed: s.PlacementSeed,
+	}
+	if spec.MaxCycles == scenario.DefaultMaxCycles {
+		spec.MaxCycles = 0
 	}
 	for _, ev := range s.Events {
 		switch ev.Kind {
@@ -234,25 +227,22 @@ func (s *Schedule) ToSpec() *scenario.Spec {
 			spec.Cancels = append(spec.Cancels, scenario.Cancel{Cycle: ev.Cycle, Stream: ev.Stream})
 		case EventFail:
 			spec.Failures = append(spec.Failures, scenario.Failure{Cycle: ev.Cycle, Drive: ev.Drive, Node: ev.Node})
-		case EventNodeKill:
-			spec.NodeEvents = append(spec.NodeEvents, scenario.NodeEvent{Cycle: ev.Cycle, Kind: "kill", Node: ev.Node})
-		case EventNodeDrain:
-			spec.NodeEvents = append(spec.NodeEvents, scenario.NodeEvent{Cycle: ev.Cycle, Kind: "drain", Node: ev.Node})
-		case EventPause:
-			spec.VcrEvents = append(spec.VcrEvents, scenario.VcrEvent{Cycle: ev.Cycle, Kind: "pause", Stream: ev.Stream})
-		case EventVcrResume:
-			spec.VcrEvents = append(spec.VcrEvents, scenario.VcrEvent{Cycle: ev.Cycle, Kind: "resume", Stream: ev.Stream})
-		case EventFF:
-			spec.VcrEvents = append(spec.VcrEvents, scenario.VcrEvent{Cycle: ev.Cycle, Kind: "ff", Stream: ev.Stream, Rate: ev.Rate})
-		case EventRewind:
-			spec.VcrEvents = append(spec.VcrEvents, scenario.VcrEvent{Cycle: ev.Cycle, Kind: "rewind", Stream: ev.Stream, Track: ev.Track})
-		case EventRepair, EventRebuild:
+		case EventNodeKill, EventNodeDrain:
+			spec.NodeEvents = append(spec.NodeEvents, scenario.NodeEvent{Cycle: ev.Cycle, Kind: specVerbs[ev.Kind], Node: ev.Node})
+		case EventPause, EventVcrResume, EventFF, EventRewind:
+			spec.VcrEvents = append(spec.VcrEvents, scenario.VcrEvent{
+				Cycle: ev.Cycle, Kind: specVerbs[ev.Kind], Stream: ev.Stream, Rate: ev.Rate, Track: ev.Track,
+			})
+		case EventRepair, EventRebuild, EventTapeReload:
 			for i := len(spec.Failures) - 1; i >= 0; i-- {
 				f := &spec.Failures[i]
 				if f.Drive == ev.Drive && f.Node == ev.Node && f.RepairCycle == 0 && f.Cycle < ev.Cycle {
 					f.RepairCycle = ev.Cycle
-					if ev.Kind == EventRebuild {
+					switch ev.Kind {
+					case EventRebuild:
 						f.RebuildBudget = ev.Budget
+					case EventTapeReload:
+						f.Tertiary = true
 					}
 					break
 				}
@@ -262,9 +252,9 @@ func (s *Schedule) ToSpec() *scenario.Spec {
 	return spec
 }
 
-// FromSpec converts a scenario back into a chaos schedule, so shipped
-// regression traces can be re-audited by the full checker set (the
-// chaos tests walk scenarios/chaos-*.json through this).
+// FromSpec converts a scenario into a chaos schedule, so every spec —
+// shipped regression traces and `ftmmsim -scenario` input alike — is
+// replayed by Run under the full checker set.
 func FromSpec(spec *scenario.Spec) *Schedule {
 	s := &Schedule{
 		Scheme: spec.Scheme, Disks: spec.Disks, ClusterSize: spec.ClusterSize,
@@ -274,42 +264,50 @@ func FromSpec(spec *scenario.Spec) *Schedule {
 		Nodes:     spec.Nodes, Replicas: spec.Replicas, PlacementSeed: spec.PlacementSeed,
 	}
 	if s.MaxCycles == 0 {
-		s.MaxCycles = 10_000
+		s.MaxCycles = scenario.DefaultMaxCycles
 	}
 	for _, r := range spec.Requests {
 		s.Events = append(s.Events, Event{Cycle: r.Cycle, Kind: EventAdmit, Title: r.Title})
 	}
 	for _, f := range spec.Failures {
 		s.Events = append(s.Events, Event{Cycle: f.Cycle, Kind: EventFail, Drive: f.Drive, Node: f.Node})
-		if f.RepairCycle > 0 && !f.Tertiary {
+		if f.RepairCycle > 0 {
 			kind, budget := EventRepair, 0
-			if f.RebuildBudget > 0 {
+			switch {
+			case f.Tertiary:
+				kind = EventTapeReload
+			case f.RebuildBudget > 0:
 				kind, budget = EventRebuild, f.RebuildBudget
 			}
 			s.Events = append(s.Events, Event{Cycle: f.RepairCycle, Kind: kind, Drive: f.Drive, Budget: budget, Node: f.Node})
 		}
 	}
 	for _, ne := range spec.NodeEvents {
-		kind := EventNodeKill
-		if ne.Kind == "drain" {
-			kind = EventNodeDrain
-		}
-		s.Events = append(s.Events, Event{Cycle: ne.Cycle, Kind: kind, Node: ne.Node})
+		s.Events = append(s.Events, Event{Cycle: ne.Cycle, Kind: kindOf(ne.Kind), Node: ne.Node})
 	}
 	for _, c := range spec.Cancels {
 		s.Events = append(s.Events, Event{Cycle: c.Cycle, Kind: EventCancel, Stream: c.Stream})
 	}
 	for _, v := range spec.VcrEvents {
-		kind := EventPause
-		switch v.Kind {
-		case "resume":
-			kind = EventVcrResume
-		case "ff":
-			kind = EventFF
-		case "rewind":
-			kind = EventRewind
-		}
-		s.Events = append(s.Events, Event{Cycle: v.Cycle, Kind: kind, Stream: v.Stream, Rate: v.Rate, Track: v.Track})
+		s.Events = append(s.Events, Event{Cycle: v.Cycle, Kind: kindOf(v.Kind), Stream: v.Stream, Rate: v.Rate, Track: v.Track})
 	}
 	return s
+}
+
+// specVerbs names the node and VCR event kinds as scenario files spell
+// them.
+var specVerbs = map[EventKind]string{
+	EventNodeKill: "kill", EventNodeDrain: "drain",
+	EventPause: "pause", EventVcrResume: "resume", EventFF: "ff", EventRewind: "rewind",
+}
+
+// kindOf maps a scenario verb back to its event kind; an unknown verb
+// passes through for Schedule.Validate to reject.
+func kindOf(verb string) EventKind {
+	for kind, v := range specVerbs {
+		if v == verb {
+			return kind
+		}
+	}
+	return EventKind(verb)
 }

@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"ftmm/internal/failure"
@@ -150,7 +153,7 @@ func TestCampaignCatchesInjectedRebuildBug(t *testing.T) {
 		},
 	}
 	hooks := Hooks{AfterRepair: corruptTrackOnDrive}
-	res, err := Run(RunConfig{Schedule: sch, Checkers: DefaultCheckers(), Hooks: hooks})
+	res, err := Run(RunConfig{Schedule: sch, Hooks: hooks})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -160,7 +163,7 @@ func TestCampaignCatchesInjectedRebuildBug(t *testing.T) {
 	if res.Violation.Checker != "parity" {
 		t.Fatalf("expected the parity checker to fire, got %q: %s", res.Violation.Checker, res.Violation.Detail)
 	}
-	shrunk := Shrink(sch, *res.Violation, DefaultCheckers, hooks)
+	shrunk := Shrink(sch, *res.Violation, nil, nil, hooks)
 	if n := len(shrunk.Events); n > 10 {
 		t.Errorf("shrunk trace has %d events, want <= 10: %s", n, marshal(t, shrunk))
 	}
@@ -173,7 +176,7 @@ func TestCampaignCatchesInjectedRebuildBug(t *testing.T) {
 	// The shrunk trace must still reproduce when replayed from its
 	// scenario form (the corpus round-trip).
 	replay := FromSpec(shrunk.ToSpec())
-	res2, err := Run(RunConfig{Schedule: *replay, Checkers: DefaultCheckers(), Hooks: hooks})
+	res2, err := Run(RunConfig{Schedule: *replay, Hooks: hooks})
 	if err != nil {
 		t.Fatalf("replay run: %v", err)
 	}
@@ -200,47 +203,167 @@ func TestScheduleSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChaosCorpus replays every committed regression trace under
-// scenarios/chaos-*.json through the full checker set; all must hold.
-func TestChaosCorpus(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "chaos-*.json"))
+// corpusSpecs parses every scenario file under scenarios/, by base
+// name.
+func corpusSpecs(t *testing.T) map[string]*scenario.Spec {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) == 0 {
-		t.Fatal("no chaos regression traces under scenarios/")
+		t.Fatal("no scenario files under scenarios/")
 	}
+	specs := make(map[string]*scenario.Spec, len(paths))
 	for _, path := range paths {
-		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := scenario.Parse(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		specs[filepath.Base(path)] = spec
+	}
+	return specs
+}
+
+// corpusCase is one replay of a shipped scenario, optionally varied,
+// and what it must show beyond its verdict.
+type corpusCase struct {
+	name string
+	file string
+	vary func(*scenario.Spec)
+	// checker and reason pin an expected violation; "" means clean.
+	checker, reason string
+	// schemes, when set, replays the case once per scheme (subtests).
+	schemes []string
+	check   func(t *testing.T, res *RunResult, events eventCounter)
+}
+
+// finishes requires every admission to finish the title.
+func finishes(admitted int) func(*testing.T, *RunResult, eventCounter) {
+	return func(t *testing.T, res *RunResult, _ eventCounter) {
+		if len(res.Sessions) != admitted || res.Stats.Finished != admitted || !res.Drained {
+			t.Errorf("admitted %d, finished %d, drained %v; want %d finished and drained",
+				len(res.Sessions), res.Stats.Finished, res.Drained, admitted)
+		}
+	}
+}
+
+// TestChaosCorpus replays every scenario file under scenarios/ —
+// single-node and cluster, chaos regression traces and hand-written
+// drills — through FromSpec and Run under the full checker set, exactly
+// as `ftmmsim -scenario` does. Every file must hold all invariants
+// except sr-catastrophe-tape-recovery.json: two failed drives in one
+// SR cluster is the paper's catastrophe, and the continuity checker
+// must stop it as one. Varied replays of nc-failure-drill.json pin the
+// run's accounting, tape-reload repair, max_cycles truncation and every
+// scheme.
+func TestChaosCorpus(t *testing.T) {
+	specs := corpusSpecs(t)
+	cases := []corpusCase{{
+		name: "nc-failure-drill.json", file: "nc-failure-drill.json",
+		check: func(t *testing.T, res *RunResult, ev eventCounter) {
+			finishes(5)(t, res, ev)
+			// The NC transition costs at most one track per stream under
+			// the alternate switchover (the continuity checker enforces
+			// the exact bound; this pins that some loss stays bounded).
+			if res.Stats.Hiccups > 5 {
+				t.Errorf("hiccups = %d, want <= 5", res.Stats.Hiccups)
 			}
-			spec, err := scenario.Parse(data)
-			if err != nil {
-				t.Fatal(err)
+			if res.Stats.Reconstructions == 0 {
+				t.Error("no reconstructions despite a failed drive")
 			}
-			sch := FromSpec(spec)
-			var violation *Violation
-			if sch.Nodes > 1 {
-				res, err := RunCluster(ClusterRunConfig{Schedule: *sch})
-				if err != nil {
-					t.Fatalf("cluster run: %v", err)
-				}
-				violation = res.Violation
-			} else {
-				res, err := Run(RunConfig{Schedule: *sch, Checkers: DefaultCheckers()})
-				if err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				violation = res.Violation
+		},
+	}, {
+		name: "nc-failure-drill.json+tape-reload", file: "nc-failure-drill.json",
+		vary: func(s *scenario.Spec) { s.Failures[0].Tertiary = true },
+		check: func(t *testing.T, res *RunResult, ev eventCounter) {
+			finishes(5)(t, res, ev)
+			if ev[EventTapeReload] != 1 {
+				t.Errorf("applied tape reloads = %d, want 1", ev[EventTapeReload])
 			}
-			if violation != nil {
-				t.Errorf("%s violation at cycle %d: %s",
-					violation.Checker, violation.Cycle, violation.Detail)
+		},
+	}, {
+		name: "nc-failure-drill.json+max-cycles", file: "nc-failure-drill.json",
+		vary: func(s *scenario.Spec) { s.MaxCycles = 3 },
+		check: func(t *testing.T, res *RunResult, _ eventCounter) {
+			if res.Cycles != 3 || res.Drained || res.Stats.Finished != 0 {
+				t.Errorf("cycles %d, drained %v, finished %d; want a 3-cycle truncated run",
+					res.Cycles, res.Drained, res.Stats.Finished)
+			}
+		},
+	}, {
+		name: "every-scheme", file: "nc-failure-drill.json",
+		schemes: []string{"sr", "sg", "nc-simple", "ib"},
+		check:   finishes(5),
+	}, {
+		name: "sr-catastrophe-tape-recovery.json", file: "sr-catastrophe-tape-recovery.json",
+		checker: "continuity", reason: "parity group unrecoverable",
+	}}
+	for name := range specs {
+		covered := false
+		for _, c := range cases {
+			covered = covered || c.name == name
+		}
+		if !covered {
+			cases = append(cases, corpusCase{name: name, file: name})
+		}
+	}
+	sort.Slice(cases, func(i, j int) bool { return cases[i].name < cases[j].name })
+
+	replay := func(t *testing.T, c corpusCase, scheme string) {
+		// Copy what vary may mutate: cases share the parsed specs.
+		spec := *specs[c.file]
+		spec.Failures = append([]scenario.Failure(nil), spec.Failures...)
+		if c.vary != nil {
+			c.vary(&spec)
+		}
+		if scheme != "" {
+			spec.Scheme = scheme
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		events := eventCounter{}
+		res, err := Run(RunConfig{Schedule: *FromSpec(&spec), NewCheckers: withChecker(events)})
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		v := res.Violation
+		switch {
+		case c.checker == "" && v != nil:
+			t.Fatalf("%s violation at cycle %d: %s", v.Checker, v.Cycle, v.Detail)
+		case c.checker != "" && (v == nil || v.Checker != c.checker || !strings.Contains(v.Detail, c.reason)):
+			t.Fatalf("violation = %+v, want %s: %s", v, c.checker, c.reason)
+		}
+		if c.check != nil {
+			c.check(t, res, events)
+		}
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.schemes == nil {
+				replay(t, c, "")
+				return
+			}
+			for _, scheme := range c.schemes {
+				t.Run(scheme, func(t *testing.T) { replay(t, c, scheme) })
 			}
 		})
+	}
+}
+
+// TestCorpusSpecRoundTrip pins FromSpec and ToSpec as inverses on the
+// shipped corpus: no scenario field (tape reloads included) is lost on
+// the way through a schedule.
+func TestCorpusSpecRoundTrip(t *testing.T) {
+	for name, spec := range corpusSpecs(t) {
+		if back := FromSpec(spec).ToSpec(); !reflect.DeepEqual(back, spec) {
+			t.Errorf("%s: round trip changed the spec:\n got %s\nwant %s", name, marshal(t, back), marshal(t, spec))
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ func TestClusterRunFailover(t *testing.T) {
 	for _, scheme := range SchemeNames() {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
-			res, err := RunCluster(ClusterRunConfig{Schedule: killSchedule(scheme)})
+			res, err := Run(RunConfig{Schedule: killSchedule(scheme)})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -83,7 +83,7 @@ func TestClusterRunDrain(t *testing.T) {
 		{Cycle: 1, Kind: EventAdmit, Title: "title2"},
 		{Cycle: 2, Kind: EventNodeDrain, Node: 1},
 	}
-	res, err := RunCluster(ClusterRunConfig{Schedule: sch})
+	res, err := Run(RunConfig{Schedule: sch})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestClusterRunDrain(t *testing.T) {
 // acceptance test: a failover that restarts one group too far forward
 // must be flagged by the cross-node continuity checker as a gap.
 func TestClusterCatchesBrokenFailover(t *testing.T) {
-	res, err := RunCluster(ClusterRunConfig{
+	res, err := Run(RunConfig{
 		Schedule: killSchedule("sr"),
 		Hooks:    Hooks{ResumeGroupOffset: 1},
 	})
@@ -130,7 +130,7 @@ func TestClusterCatchesInjectedRepairBug(t *testing.T) {
 		{Cycle: 2, Kind: EventFail, Drive: 1, Node: 2},
 		{Cycle: 4, Kind: EventRepair, Drive: 1, Node: 2},
 	}
-	res, err := RunCluster(ClusterRunConfig{
+	res, err := Run(RunConfig{
 		Schedule: sch,
 		Hooks:    Hooks{AfterRepair: corruptTrackOnDrive},
 	})

@@ -3,6 +3,8 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+
+	"ftmm/internal/scenario"
 )
 
 // Generate draws one randomized schedule for the scheme from the rng.
@@ -53,7 +55,7 @@ func Generate(rng *rand.Rand, scheme string) Schedule {
 		})
 	}
 
-	unit := s.FarmUnit() // cluster, or declustering group under dc
+	unit := scenario.FarmUnit(s.Scheme, s.ClusterSize, s.DeclusterGroup) // cluster, or declustering group under dc
 	clusters := s.Disks / unit
 	nFails := rng.Intn(3)
 	usedClusters := make(map[int]bool)
@@ -139,6 +141,57 @@ func Generate(rng *rand.Rand, scheme string) Schedule {
 	// catalog's tracks as rebuild slack, plus a full replay per rewind
 	// (a rewound stream may walk the title again), plus margin.
 	s.MaxCycles = lastEvent + titleTracks + s.Titles*s.TitleGroups + nVcr*titleTracks + 40
+	return s
+}
+
+// GenerateCluster draws one randomized schedule for a nodes-node
+// cluster: a base Generate schedule fanned across nodes, drive faults
+// pinned to shards, and node-level kill/drain events layered on top.
+// With nodes <= 1 it is Generate itself.
+func GenerateCluster(rng *rand.Rand, scheme string, nodes int) Schedule {
+	s := Generate(rng, scheme)
+	if nodes < 2 {
+		return s
+	}
+	s.Nodes = nodes
+	s.Replicas = 2
+	if s.Replicas > nodes {
+		s.Replicas = nodes
+	}
+	s.PlacementSeed = rng.Int63()
+	// Pin each drive-fault chain (fail → repair/rebuild) to one shard,
+	// so pairs stay pairs.
+	driveNode := make(map[int]int)
+	for i := range s.Events {
+		ev := &s.Events[i]
+		switch ev.Kind {
+		case EventFail, EventRepair, EventRebuild:
+			n, ok := driveNode[ev.Drive]
+			if !ok {
+				n = rng.Intn(nodes)
+				driveNode[ev.Drive] = n
+			}
+			ev.Node = n
+		}
+	}
+	// Usually one kill; sometimes a drain elsewhere. Killing and
+	// draining down to one node is interesting, not catastrophic:
+	// unplaceable sessions are the admitted loss the checker exempts.
+	victim := -1
+	if rng.Float64() < 0.75 {
+		victim = rng.Intn(nodes)
+		s.Events = append(s.Events, Event{Cycle: 3 + rng.Intn(8), Kind: EventNodeKill, Node: victim})
+	}
+	if rng.Float64() < 0.40 {
+		d := rng.Intn(nodes)
+		if d == victim {
+			d = (d + 1) % nodes
+		}
+		s.Events = append(s.Events, Event{Cycle: 4 + rng.Intn(10), Kind: EventNodeDrain, Node: d})
+	}
+	// Failovers rewind up to a group per resume; pad the tail so
+	// resumed sessions can still play out.
+	s.MaxCycles += s.TitleGroups * (s.ClusterSize - 1)
 	return s
 }
 

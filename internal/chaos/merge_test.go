@@ -32,18 +32,21 @@ func (l *reportLog) End(rc *RunContext) error {
 	return nil
 }
 
-// runMergedAndUnmerged executes one single-node schedule with and
-// without same-title read merging, under the full checker set, and
-// requires identical CycleReports every cycle. It returns the physical
-// buffer fetches of both runs.
+// runMergedAndUnmerged executes one schedule with and without
+// same-title read merging on every node, under the full checker set,
+// and requires identical CycleReports from every node every cycle. It
+// returns the physical buffer fetches of both runs, summed over nodes.
 func runMergedAndUnmerged(t *testing.T, sch Schedule) (merged, unmerged int64) {
 	t.Helper()
-	var logs [2]*reportLog
+	var logs [2][]*reportLog
 	for i, disable := range []bool{false, true} {
-		log := &reportLog{}
 		res, err := Run(RunConfig{
-			Schedule:           sch,
-			Checkers:           append(DefaultCheckers(), log),
+			Schedule: sch,
+			NewCheckers: func() []Checker {
+				log := &reportLog{}
+				logs[i] = append(logs[i], log)
+				return append(DefaultCheckers(), log)
+			},
 			DisableMergedReads: disable,
 		})
 		if err != nil {
@@ -53,21 +56,24 @@ func runMergedAndUnmerged(t *testing.T, sch Schedule) (merged, unmerged int64) {
 			t.Fatalf("%s (merging disabled=%v): %s violation at cycle %d: %s",
 				sch.Scheme, disable, v.Checker, v.Cycle, v.Detail)
 		}
-		logs[i] = log
 	}
-	m, u := logs[0], logs[1]
-	if len(m.reports) != len(u.reports) {
-		t.Fatalf("%s: merged run checked %d cycles, unmerged %d", sch.Scheme, len(m.reports), len(u.reports))
-	}
-	for i := range m.reports {
-		if !m.reports[i].Equal(u.reports[i]) {
-			t.Fatalf("%s: cycle %d report differs between merged and unmerged runs", sch.Scheme, i)
+	for n, m := range logs[0] {
+		u := logs[1][n]
+		if len(m.reports) != len(u.reports) {
+			t.Fatalf("%s node%d: merged run checked %d cycles, unmerged %d", sch.Scheme, n, len(m.reports), len(u.reports))
 		}
+		for i := range m.reports {
+			if !m.reports[i].Equal(u.reports[i]) {
+				t.Fatalf("%s node%d: cycle %d report differs between merged and unmerged runs", sch.Scheme, n, i)
+			}
+		}
+		merged += m.arenaGets
+		unmerged += u.arenaGets
 	}
-	if m.arenaGets > u.arenaGets {
-		t.Fatalf("%s: merged run fetched %d buffers, unmerged %d", sch.Scheme, m.arenaGets, u.arenaGets)
+	if merged > unmerged {
+		t.Fatalf("%s: merged run fetched %d buffers, unmerged %d", sch.Scheme, merged, unmerged)
 	}
-	return m.arenaGets, u.arenaGets
+	return merged, unmerged
 }
 
 // packed doubles every admission of a schedule (a second viewer of the
@@ -89,36 +95,53 @@ func packed(sch Schedule) Schedule {
 // read path against its unmerged one under random chaos schedules
 // (admissions, failures, repairs, online rebuilds, cancellations and
 // VCR verbs): each generated schedule, and its packed twin, must yield
-// identical reports both ways with every checker holding.
+// identical reports both ways with every checker holding. The 3-node
+// leg adds node kills, drains and failover re-admissions.
 func TestMergeDifferentialCampaign(t *testing.T) {
 	const perScheme = 8
 	for si, scheme := range SchemeNames() {
 		t.Run(scheme, func(t *testing.T) {
-			var merged, unmerged int64
-			for i := 0; i < perScheme; i++ {
-				rng := rand.New(rand.NewSource(failure.TrialSeed(*seedFlag, si*perScheme+i)))
-				sch := Generate(rng, scheme)
-				for _, s := range []Schedule{sch, packed(sch)} {
-					m, u := runMergedAndUnmerged(t, s)
-					merged += m
-					unmerged += u
-				}
-			}
-			if merged >= unmerged {
-				t.Fatalf("merging saved no physical reads over the campaign: %d gets merged, %d unmerged", merged, unmerged)
-			}
+			mergeCampaign(t, []string{scheme}, 1, si*perScheme, perScheme)
 		})
+	}
+	t.Run("3-node", func(t *testing.T) {
+		mergeCampaign(t, SchemeNames(), 3, 0, 2)
+	})
+}
+
+// mergeCampaign runs n generated schedules per scheme (and their packed
+// twins) through runMergedAndUnmerged, and requires merging to have
+// saved physical reads over the whole campaign.
+func mergeCampaign(t *testing.T, schemes []string, nodes, first, n int) {
+	t.Helper()
+	var merged, unmerged int64
+	for _, scheme := range schemes {
+		for i := first; i < first+n; i++ {
+			rng := rand.New(rand.NewSource(failure.TrialSeed(*seedFlag, i)))
+			sch := GenerateCluster(rng, scheme, nodes)
+			for _, s := range []Schedule{sch, packed(sch)} {
+				m, u := runMergedAndUnmerged(t, s)
+				merged += m
+				unmerged += u
+			}
+		}
+	}
+	if merged >= unmerged {
+		t.Fatalf("%v: merging saved no physical reads: %d gets merged, %d unmerged", schemes, merged, unmerged)
 	}
 }
 
-// TestMergeDifferentialCorpus replays the committed single-node chaos
-// traces under scenarios/ with and without read merging.
+// TestMergeDifferentialCorpus replays the committed chaos traces under
+// scenarios/, single-node and multi-node, with and without read
+// merging.
 func TestMergeDifferentialCorpus(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "chaos-*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ran := 0
+	if len(paths) == 0 {
+		t.Fatal("no chaos traces under scenarios/")
+	}
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -128,16 +151,8 @@ func TestMergeDifferentialCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sch := FromSpec(spec)
-		if sch.Nodes > 1 {
-			continue // cluster traces run through RunCluster, not Run
-		}
-		ran++
 		t.Run(filepath.Base(path), func(t *testing.T) {
-			runMergedAndUnmerged(t, *sch)
+			runMergedAndUnmerged(t, *FromSpec(spec))
 		})
-	}
-	if ran == 0 {
-		t.Fatal("no single-node chaos traces under scenarios/")
 	}
 }

@@ -6,32 +6,39 @@ package chaos
 // MaxCycles to just past the violation. The predicate is a pure
 // function of the schedule — runs are deterministic and events apply
 // best-effort, so every subset is runnable — which makes the shrink
-// itself deterministic.
+// itself deterministic. Nil checker factories mean the default sets.
 //
 // Matching on the checker name (rather than the exact detail string)
 // keeps shrinking effective when removing events shifts cycle numbers
 // or stream IDs inside the message while the underlying breach is the
 // same.
-func Shrink(sch Schedule, orig Violation, newCheckers func() []Checker, hooks Hooks) Schedule {
-	reproduces := func(s Schedule) bool {
-		res, err := Run(RunConfig{Schedule: s, Checkers: newCheckers(), Hooks: hooks})
-		return err == nil && res.Violation != nil && res.Violation.Checker == orig.Checker
+func Shrink(sch Schedule, orig Violation, newCheckers func() []Checker, newCluster func() []ClusterChecker, hooks Hooks) Schedule {
+	if newCluster == nil {
+		newCluster = DefaultClusterCheckers
+	}
+	run := func(s Schedule) *Violation {
+		res, err := Run(RunConfig{
+			Schedule: s, NewCheckers: newCheckers, ClusterCheckers: newCluster(), Hooks: hooks,
+		})
+		if err != nil || res.Violation == nil || res.Violation.Checker != orig.Checker {
+			return nil
+		}
+		return res.Violation
 	}
 
 	out := sch
 	out.Events = ddmin(sch.Events, func(sub []Event) bool {
 		s := sch
 		s.Events = sub
-		return reproduces(s)
+		return run(s) != nil
 	})
 
 	// Trim the tail: re-run to find where the violation now fires and
 	// cut MaxCycles just past it.
-	if res, err := Run(RunConfig{Schedule: out, Checkers: newCheckers(), Hooks: hooks}); err == nil &&
-		res.Violation != nil && res.Violation.Checker == orig.Checker {
+	if v := run(out); v != nil {
 		trimmed := out
-		trimmed.MaxCycles = res.Violation.Cycle + 2
-		if trimmed.MaxCycles < out.MaxCycles && reproduces(trimmed) {
+		trimmed.MaxCycles = v.Cycle + 2
+		if trimmed.MaxCycles < out.MaxCycles && run(trimmed) != nil {
 			out = trimmed
 		}
 	}

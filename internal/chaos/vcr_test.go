@@ -6,29 +6,25 @@ import (
 	"ftmm/internal/sched"
 )
 
-// vcrCounter counts applied VCR events, so tests can assert the verbs
-// actually took effect instead of being skipped by the best-effort
-// contract.
-type vcrCounter struct {
-	pauses, resumes, ffs, rewinds int
+// eventCounter counts applied events by kind, so tests can assert that
+// events actually took effect instead of being skipped by the
+// best-effort contract. It sees the events routed to its node.
+type eventCounter map[EventKind]int
+
+func (eventCounter) Name() string                                    { return "event-counter" }
+func (eventCounter) Begin(*RunContext) error                         { return nil }
+func (eventCounter) AfterStep(*RunContext, *sched.CycleReport) error { return nil }
+func (eventCounter) End(*RunContext) error                           { return nil }
+func (c eventCounter) OnEvent(_ *RunContext, ev Event) error {
+	c[ev.Kind]++
+	return nil
 }
 
-func (v *vcrCounter) Name() string                                    { return "vcr-counter" }
-func (v *vcrCounter) Begin(*RunContext) error                         { return nil }
-func (v *vcrCounter) AfterStep(*RunContext, *sched.CycleReport) error { return nil }
-func (v *vcrCounter) End(*RunContext) error                           { return nil }
-func (v *vcrCounter) OnEvent(_ *RunContext, ev Event) error {
-	switch ev.Kind {
-	case EventPause:
-		v.pauses++
-	case EventVcrResume:
-		v.resumes++
-	case EventFF:
-		v.ffs++
-	case EventRewind:
-		v.rewinds++
-	}
-	return nil
+// withChecker returns a per-node checker factory: the default set plus
+// extra. Every node shares the one extra instance, so it must hold no
+// per-node state (an eventCounter sums events over nodes).
+func withChecker(extra Checker) func() []Checker {
+	return func() []Checker { return append(DefaultCheckers(), extra) }
 }
 
 // vcrSchedule builds a deterministic single-node schedule that walks a
@@ -62,10 +58,10 @@ func vcrSchedule(scheme string) Schedule {
 func TestVcrScheduleAllSchemes(t *testing.T) {
 	for _, scheme := range SchemeNames() {
 		t.Run(scheme, func(t *testing.T) {
-			counter := &vcrCounter{}
+			counter := eventCounter{}
 			res, err := Run(RunConfig{
-				Schedule: vcrSchedule(scheme),
-				Checkers: append(DefaultCheckers(), counter),
+				Schedule:    vcrSchedule(scheme),
+				NewCheckers: withChecker(counter),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -74,16 +70,16 @@ func TestVcrScheduleAllSchemes(t *testing.T) {
 				t.Fatalf("%s violation at cycle %d: %s",
 					res.Violation.Checker, res.Violation.Cycle, res.Violation.Detail)
 			}
-			if counter.pauses != 1 || counter.resumes != 1 || counter.rewinds != 1 {
+			if counter[EventPause] != 1 || counter[EventVcrResume] != 1 || counter[EventRewind] != 1 {
 				t.Errorf("applied pauses/resumes/rewinds = %d/%d/%d, want 1/1/1",
-					counter.pauses, counter.resumes, counter.rewinds)
+					counter[EventPause], counter[EventVcrResume], counter[EventRewind])
 			}
 			wantFF := 0
 			if scheme == "sr" || scheme == "dc" {
 				wantFF = 1
 			}
-			if counter.ffs != wantFF {
-				t.Errorf("applied ffs = %d, want %d", counter.ffs, wantFF)
+			if counter[EventFF] != wantFF {
+				t.Errorf("applied ffs = %d, want %d", counter[EventFF], wantFF)
 			}
 		})
 	}
@@ -102,7 +98,7 @@ func TestVcrPauseDrainNoLeak(t *testing.T) {
 			{Cycle: 3, Kind: EventPause, Stream: 0},
 		},
 	}
-	res, err := Run(RunConfig{Schedule: s, Checkers: DefaultCheckers()})
+	res, err := Run(RunConfig{Schedule: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +135,7 @@ func clusterVcrSchedule() Schedule {
 // resume and any failover), the rewound session replayed, and every
 // session ended finished or lost-with-justification.
 func TestVcrClusterLedger(t *testing.T) {
-	res, err := RunCluster(ClusterRunConfig{Schedule: clusterVcrSchedule()})
+	res, err := Run(RunConfig{Schedule: clusterVcrSchedule()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +177,7 @@ func TestVcrClusterCheckerCatchesBrokenResume(t *testing.T) {
 			{Cycle: 5, Kind: EventVcrResume, Stream: 0},
 		},
 	}
-	res, err := RunCluster(ClusterRunConfig{
+	res, err := Run(RunConfig{
 		Schedule: s,
 		Hooks:    Hooks{ResumeGroupOffset: 1},
 	})

@@ -1,8 +1,10 @@
-// Package scenario runs declarative, reproducible simulation scenarios:
-// a JSON description of a farm, a catalog, a request schedule, and a
-// failure/repair schedule is executed against the full server and
-// summarized. cmd/ftmmsim consumes these via -scenario; tests use them
-// to pin down regression cases.
+// Package scenario defines the declarative, replayable scenario
+// format: a JSON description of a farm, a catalog, and schedules of
+// admissions, drive failures and repairs, hang-ups, VCR verbs and node
+// events. It parses and validates specs; running one is the chaos
+// harness's job (chaos.FromSpec, then chaos.Run under the full checker
+// set), which is what cmd/ftmmsim -scenario does and what the
+// regression corpus under scenarios/ is replayed through.
 package scenario
 
 import (
@@ -10,14 +12,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
+	"ftmm/internal/analytic"
 	"ftmm/internal/diskmodel"
 	"ftmm/internal/server"
-	"ftmm/internal/trace"
 	"ftmm/internal/units"
-	"ftmm/internal/workload"
 )
+
+// DefaultMaxCycles bounds a run whose spec leaves max_cycles at 0.
+const DefaultMaxCycles = 10_000
 
 // Spec is the JSON scenario description.
 type Spec struct {
@@ -46,13 +49,12 @@ type Spec struct {
 	// VcrEvents schedules interactive-viewer verbs (pause, resume, ff,
 	// rewind) against admitted streams, applied best-effort like Cancels.
 	VcrEvents []VcrEvent `json:"vcr_events,omitempty"`
-	// MaxCycles bounds the run (default 10000).
+	// MaxCycles bounds the run (0 = DefaultMaxCycles).
 	MaxCycles int `json:"max_cycles"`
-	// Cluster topology: Nodes > 1 runs the spec across a farm-per-node
-	// cluster (the chaos cluster runner; ftmmsim -scenario routes
-	// there automatically). Replicas and PlacementSeed feed the
-	// rendezvous placement; NodeEvents kill or drain whole nodes. Zero
-	// values mean the classic single-node run.
+	// Cluster topology: Nodes > 1 spreads the spec across a
+	// farm-per-node cluster; 0 or 1 is a one-node run. Replicas and
+	// PlacementSeed feed the rendezvous placement; NodeEvents kill or
+	// drain whole nodes.
 	Nodes         int         `json:"nodes,omitempty"`
 	Replicas      int         `json:"replicas,omitempty"`
 	PlacementSeed int64       `json:"placement_seed,omitempty"`
@@ -66,7 +68,8 @@ type Request struct {
 }
 
 // Failure fails a drive at a cycle, optionally repairing it later.
-// RepairCycle <= 0 means never; Tertiary selects tape reload instead of
+// RepairCycle <= 0 means never; Tertiary selects tape reload (the
+// drive is replaced and refilled from the tertiary library) instead of
 // parity rebuild. RebuildBudget > 0 selects the paper's online rebuild
 // mode instead of an instant repair: at RepairCycle the drive is
 // replaced and its contents restored incrementally, at most
@@ -112,19 +115,6 @@ type VcrEvent struct {
 	Track  int    `json:"track,omitempty"`
 }
 
-// Result summarizes a run.
-type Result struct {
-	Stats       server.Stats
-	Summary     trace.Summary
-	CycleTime   time.Duration
-	StagingTime time.Duration
-	// IntegrityErr is non-nil if any delivered track's bytes differed
-	// from the stored content (should never happen).
-	IntegrityErr error
-	// Admitted and Rejected count request outcomes.
-	Admitted, Rejected int
-}
-
 // Parse decodes and validates a JSON spec. Unknown fields are rejected
 // so typos in scenario files fail loudly.
 func Parse(data []byte) (*Spec, error) {
@@ -142,14 +132,16 @@ func Parse(data []byte) (*Spec, error) {
 
 // Validate checks the spec's shape.
 func (s *Spec) Validate() error {
-	if _, _, err := server.ParseScheme(s.Scheme); err != nil {
-		return err
+	if err := CheckFarm(s.Scheme, s.Disks, s.ClusterSize, s.DeclusterGroup); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
 	switch {
-	case s.Disks < s.ClusterSize || s.ClusterSize < 2:
-		return fmt.Errorf("scenario: bad farm %dx%d", s.Disks, s.ClusterSize)
+	case s.K < 0:
+		return fmt.Errorf("scenario: negative k %d", s.K)
 	case s.Titles < 1 || s.TitleGroups < 1:
 		return errors.New("scenario: need at least one title with one group")
+	case s.MaxCycles < 0:
+		return fmt.Errorf("scenario: negative max_cycles %d", s.MaxCycles)
 	case len(s.Requests) == 0:
 		return errors.New("scenario: no requests")
 	}
@@ -165,8 +157,8 @@ func (s *Spec) Validate() error {
 		if f.RepairCycle > 0 && f.RepairCycle <= f.Cycle {
 			return fmt.Errorf("scenario: repair at %d not after failure at %d", f.RepairCycle, f.Cycle)
 		}
-		if f.RebuildBudget < 0 {
-			return fmt.Errorf("scenario: negative rebuild budget %d", f.RebuildBudget)
+		if f.RebuildBudget < 0 || (f.RebuildBudget > 0 && f.RebuildBudget < s.ClusterSize-1) {
+			return fmt.Errorf("scenario: rebuild budget %d below C-1=%d", f.RebuildBudget, s.ClusterSize-1)
 		}
 		if f.RebuildBudget > 0 && f.Tertiary {
 			return fmt.Errorf("scenario: failure %+v mixes tertiary reload with online rebuild", f)
@@ -224,202 +216,37 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Run executes the scenario. Cluster specs (Nodes > 1) are not
-// runnable here — they need the farm-per-node chaos runner, which
-// would invert the package dependency; ftmmsim routes them there.
-func (s *Spec) Run() (*Result, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if s.Nodes > 1 {
-		return nil, errors.New("scenario: cluster spec needs the chaos cluster runner (ftmmsim -scenario routes automatically)")
-	}
-	scheme, policy, err := server.ParseScheme(s.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := server.New(server.Options{
-		Disks: s.Disks, ClusterSize: s.ClusterSize,
-		DeclusterGroup: s.DeclusterGroup,
-		Scheme:         scheme, NCPolicy: policy, K: s.K,
-		DiskParams: s.DiskParams(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	trackSize := int(srv.Farm().Params().TrackSize)
-	content := map[string][]byte{}
-	for i := 0; i < s.Titles; i++ {
-		id := fmt.Sprintf("title%d", i)
-		c := workload.SyntheticContent(id, s.TitleGroups*(s.ClusterSize-1)*trackSize)
-		content[id] = c
-		if err := srv.AddTitle(id, units.ByteSize(len(c)), i/4, c); err != nil {
-			return nil, err
+// FarmUnit returns the drive-group size a farm is built from: the
+// declustering group G for the dc scheme (0 defaults to 2C-1), the
+// cluster C otherwise. Disks must be a whole number of these units.
+func FarmUnit(scheme string, clusterSize, declusterGroup int) int {
+	if sch, _, err := server.ParseScheme(scheme); err == nil && sch == analytic.DeclusteredParity {
+		if declusterGroup > 0 {
+			return declusterGroup
 		}
+		return 2*clusterSize - 1
 	}
-	rec, err := trace.NewRecorder(content, trackSize)
-	if err != nil {
-		return nil, err
-	}
-
-	maxCycles := s.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = 10_000
-	}
-	res := &Result{}
-	lastEvent := 0
-	for _, r := range s.Requests {
-		if r.Cycle > lastEvent {
-			lastEvent = r.Cycle
-		}
-	}
-	for _, f := range s.Failures {
-		if f.Cycle > lastEvent {
-			lastEvent = f.Cycle
-		}
-		if f.RepairCycle > lastEvent {
-			lastEvent = f.RepairCycle
-		}
-	}
-	for _, c := range s.Cancels {
-		if c.Cycle > lastEvent {
-			lastEvent = c.Cycle
-		}
-	}
-	for _, v := range s.VcrEvents {
-		if v.Cycle > lastEvent {
-			lastEvent = v.Cycle
-		}
-	}
-	var admittedIDs []int
-	var admittedTitles []string
-	// paused maps ordinal -> next owed track for streams a pause (or a
-	// refused rewind) has parked.
-	paused := map[int]int{}
-	width := s.ClusterSize - 1
-	for cycle := 0; cycle < maxCycles; cycle++ {
-		for _, r := range s.Requests {
-			if r.Cycle != cycle {
-				continue
-			}
-			if id, _, err := srv.Request(r.Title); err != nil {
-				res.Rejected++
-			} else {
-				res.Admitted++
-				admittedIDs = append(admittedIDs, id)
-				admittedTitles = append(admittedTitles, r.Title)
-			}
-		}
-		for _, f := range s.Failures {
-			if f.Cycle == cycle {
-				if err := srv.FailDisk(f.Drive); err != nil {
-					return nil, fmt.Errorf("scenario: failing drive %d at cycle %d: %w", f.Drive, cycle, err)
-				}
-			}
-			if f.RepairCycle == cycle && f.RepairCycle > 0 {
-				switch {
-				case f.Tertiary:
-					if _, err := srv.RebuildFromTertiary(f.Drive); err != nil {
-						return nil, err
-					}
-				case f.RebuildBudget > 0:
-					if err := srv.StartOnlineRebuild(f.Drive, f.RebuildBudget); err != nil {
-						return nil, err
-					}
-				default:
-					if err := srv.RepairDisk(f.Drive); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		for _, c := range s.Cancels {
-			// Best-effort: skip cancels whose admission never happened or
-			// whose stream already finished.
-			if c.Cycle == cycle && c.Stream < len(admittedIDs) {
-				if _, ok := paused[c.Stream]; ok {
-					delete(paused, c.Stream)
-					continue
-				}
-				_ = srv.Cancel(admittedIDs[c.Stream])
-			}
-		}
-		for _, v := range s.VcrEvents {
-			// Same best-effort contract as Cancels: verbs whose stream is
-			// unknown, finished, or in the wrong state are skipped, so
-			// shrunk chaos traces stay runnable.
-			if v.Cycle != cycle || v.Stream >= len(admittedIDs) {
-				continue
-			}
-			switch v.Kind {
-			case "pause":
-				if _, ok := paused[v.Stream]; ok {
-					break
-				}
-				next, _, ok := srv.StreamProgress(admittedIDs[v.Stream])
-				if !ok {
-					break
-				}
-				_ = srv.Cancel(admittedIDs[v.Stream])
-				paused[v.Stream] = next
-			case "resume":
-				next, ok := paused[v.Stream]
-				if !ok {
-					break
-				}
-				id, _, err := srv.RequestAt(admittedTitles[v.Stream], next/width)
-				if err != nil {
-					break // stays parked, like a viewer holding a Retry-After
-				}
-				admittedIDs[v.Stream] = id
-				delete(paused, v.Stream)
-			case "ff":
-				if _, ok := paused[v.Stream]; ok {
-					break
-				}
-				_ = srv.SetStreamRate(admittedIDs[v.Stream], v.Rate)
-			case "rewind":
-				target := v.Track
-				if t := s.TitleGroups * width; target >= t {
-					target = t - 1
-				}
-				if _, ok := paused[v.Stream]; ok {
-					paused[v.Stream] = target
-					break
-				}
-				if _, _, ok := srv.StreamProgress(admittedIDs[v.Stream]); !ok {
-					break
-				}
-				_ = srv.Cancel(admittedIDs[v.Stream])
-				id, _, err := srv.RequestAt(admittedTitles[v.Stream], target/width)
-				if err != nil {
-					paused[v.Stream] = target
-					break
-				}
-				admittedIDs[v.Stream] = id
-			}
-		}
-		rep, err := srv.Step()
-		if err != nil {
-			return nil, err
-		}
-		rec.Observe(rep)
-		if cycle >= lastEvent && srv.Engine().Active() == 0 && srv.RebuildRemaining() == 0 {
-			break
-		}
-	}
-	res.Stats = srv.Stats()
-	res.Summary = rec.Summarize()
-	res.CycleTime = srv.CycleTime()
-	res.StagingTime = srv.StagingTime()
-	res.IntegrityErr = rec.VerifyIntegrity()
-	return res, nil
+	return clusterSize
 }
 
-// DiskParams sizes drives to hold the catalog comfortably. It is
-// exported so the chaos harness builds its servers with exactly the
-// geometry a scenario replay will use — a shrunk trace must reproduce
-// its violation byte for byte when re-run through ftmmsim -scenario.
+// CheckFarm is the one farm-shape rule scenario specs and chaos
+// schedules share: a known scheme, C >= 2, and a whole number of farm
+// units (see FarmUnit), each at least one cluster wide.
+func CheckFarm(scheme string, disks, clusterSize, declusterGroup int) error {
+	if _, _, err := server.ParseScheme(scheme); err != nil {
+		return err
+	}
+	unit := FarmUnit(scheme, clusterSize, declusterGroup)
+	if clusterSize < 2 || unit < clusterSize || disks < unit || disks%unit != 0 {
+		return fmt.Errorf("bad farm %dx%d (unit %d)", disks, clusterSize, unit)
+	}
+	return nil
+}
+
+// DiskParams sizes drives to hold the catalog comfortably: the one
+// geometry every run of a spec (or of a chaos schedule, which exports
+// to one) builds its servers with, so a shrunk trace reproduces its
+// violation byte for byte when replayed.
 func (s *Spec) DiskParams() diskmodel.Params {
 	p := diskmodel.Table1()
 	tracksPerTitle := s.TitleGroups * s.ClusterSize

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -50,6 +48,11 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		{"repair before failure", `"repair_cycle": 20`, `"repair_cycle": 5`},
 		{"negative request cycle", `{"cycle": 0, "title": "title0"}`, `{"cycle": -1, "title": "title0"}`},
 		{"empty title", `"title": "title1"`, `"title": ""`},
+		{"negative k", `"k": 2`, `"k": -1`},
+		{"partial cluster", `"disks": 10`, `"disks": 11`},
+		{"partial declustering group", `"scheme": "nc"`, `"scheme": "dc", "decluster_group": 7`},
+		{"rebuild budget below C-1", `"repair_cycle": 20}`, `"repair_cycle": 20, "rebuild_budget": 1}`},
+		{"negative max_cycles", `"k": 2,`, `"k": 2, "max_cycles": -5,`},
 	}
 	for _, c := range cases {
 		bad := strings.Replace(validJSON, c.from, c.to, 1)
@@ -68,130 +71,5 @@ func TestParseRejectsBadSpecs(t *testing.T) {
     {"cycle": 2, "title": "title2"}`, ``, 1)
 	if _, err := Parse([]byte(empty)); err == nil {
 		t.Error("no requests accepted")
-	}
-}
-
-func TestRunEndToEnd(t *testing.T) {
-	s, err := Parse([]byte(validJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IntegrityErr != nil {
-		t.Fatalf("integrity: %v", res.IntegrityErr)
-	}
-	if res.Admitted != 3 || res.Rejected != 0 {
-		t.Fatalf("admitted/rejected = %d/%d", res.Admitted, res.Rejected)
-	}
-	if res.Stats.Finished != 3 {
-		t.Fatalf("finished = %d", res.Stats.Finished)
-	}
-	// NC failure at cycle 6: the transition may cost a couple of tracks.
-	if res.Summary.Hiccups > 4 {
-		t.Fatalf("hiccups = %d", res.Summary.Hiccups)
-	}
-	if res.Stats.Reconstructions == 0 {
-		t.Fatal("no reconstructions despite failure")
-	}
-	if res.CycleTime <= 0 || res.StagingTime <= 0 {
-		t.Fatal("missing timings")
-	}
-}
-
-func TestRunTertiaryRepair(t *testing.T) {
-	tert := strings.Replace(validJSON, `"repair_cycle": 20}`, `"repair_cycle": 20, "tertiary": true}`, 1)
-	s, err := Parse([]byte(tert))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IntegrityErr != nil {
-		t.Fatal(res.IntegrityErr)
-	}
-	// Tape reload adds its latency to the staging total? No — it is
-	// accounted separately; just assert the run completed cleanly.
-	if res.Stats.Finished != 3 {
-		t.Fatalf("finished = %d", res.Stats.Finished)
-	}
-}
-
-func TestRunMaxCyclesBound(t *testing.T) {
-	s, err := Parse([]byte(validJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.MaxCycles = 3 // too few to finish
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Finished != 0 {
-		t.Fatal("finished despite tiny cycle bound")
-	}
-}
-
-func TestRunAllSchemes(t *testing.T) {
-	for _, scheme := range []string{"sr", "sg", "nc", "nc-simple", "ib"} {
-		spec := strings.Replace(validJSON, `"scheme": "nc"`, `"scheme": "`+scheme+`"`, 1)
-		s, err := Parse([]byte(spec))
-		if err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		if res.IntegrityErr != nil {
-			t.Fatalf("%s: %v", scheme, res.IntegrityErr)
-		}
-		if res.Stats.Finished != 3 {
-			t.Fatalf("%s: finished = %d", scheme, res.Stats.Finished)
-		}
-	}
-}
-
-// The scenario files shipped in scenarios/ must stay parseable and
-// runnable.
-func TestShippedScenarios(t *testing.T) {
-	dir := filepath.Join("..", "..", "scenarios")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("reading %s: %v", dir, err)
-	}
-	ran := 0
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec, err := Parse(data)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
-		}
-		if spec.Nodes > 1 {
-			// Cluster specs run through the chaos cluster runner; the
-			// chaos corpus test covers them. Parseability checked above.
-			continue
-		}
-		res, err := spec.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
-		}
-		if res.IntegrityErr != nil {
-			t.Fatalf("%s: %v", e.Name(), res.IntegrityErr)
-		}
-		ran++
-	}
-	if ran == 0 {
-		t.Fatal("no shipped scenarios found")
 	}
 }
